@@ -71,6 +71,25 @@ def refine_placement(
     # Per-level loads, kept incrementally (level h loads == leaf_loads).
     level_loads = [placement.level_loads(j) for j in range(hier.h + 1)]
     budgets = [max_violation * hier.capacity(j) + 1e-12 for j in range(hier.h + 1)]
+    # Per-leaf rows, filled on first use: lca_rows[t][l] = LCA level of
+    # leaves t and l, cost_rows[t][l] = cm of that level.  Indexing a row
+    # by ``leaf_of[nbrs]`` gives the same floats ``cm[lca_level(t, ...)]``
+    # would, without a vectorised lca_level call per candidate.
+    leaves = np.arange(hier.k, dtype=np.int64)
+    lca_rows: dict[int, np.ndarray] = {}
+    cost_rows: dict[int, np.ndarray] = {}
+
+    def lca_row(t: int) -> np.ndarray:
+        row = lca_rows.get(t)
+        if row is None:
+            row = lca_rows[t] = np.asarray(hier.lca_level(t, leaves))
+        return row
+
+    def cost_row(t: int) -> np.ndarray:
+        row = cost_rows.get(t)
+        if row is None:
+            row = cost_rows[t] = cm[lca_row(t)]
+        return row
 
     def move_ok(v: int, target: int) -> bool:
         dv = float(d[v])
@@ -102,9 +121,7 @@ def refine_placement(
             nbrs, ws = nbrs[keep], ws[keep]
             if nbrs.size == 0:
                 return 0.0
-        return float(
-            np.dot(cm[np.asarray(hier.lca_level(at_leaf, leaf_of[nbrs]))], ws)
-        )
+        return float(np.dot(cost_row(at_leaf)[leaf_of[nbrs]], ws))
 
     def swap_ok(a: int, la: int, b: int, lb: int) -> bool:
         """Feasibility of exchanging a (at la) and b (at lb) at every level."""
@@ -139,11 +156,12 @@ def refine_placement(
             done = False
             for a, c in ((u, v), (v, u)):
                 la, lc = int(leaf_of[a]), int(leaf_of[c])
-                base_level = int(hier.lca_level(la, lc))
+                to_c = lca_row(lc)
+                base_level = to_c[la]
                 for target in range(hier.k):
                     if target == la:
                         continue
-                    if int(hier.lca_level(target, lc)) <= base_level:
+                    if to_c[target] <= base_level:
                         continue  # not closer to c
                     for b in np.nonzero(leaf_of == target)[0]:
                         b = int(b)
@@ -182,23 +200,14 @@ def refine_placement(
             ws = g.neighbor_weights(v)
             src = int(leaf_of[v])
             nbr_leaves = leaf_of[nbrs]
-            base = float(
-                np.dot(cm[np.asarray(hier.lca_level(src, nbr_leaves))], ws)
-            )
+            base = float(np.dot(cost_row(src)[nbr_leaves], ws))
             candidates = set(int(l) for l in np.unique(nbr_leaves))
             candidates.add(int(np.argmin(leaf_loads)))
             candidates.discard(src)
             best_leaf: Optional[int] = None
             best_delta = -1e-12
             for target in candidates:
-                delta = (
-                    float(
-                        np.dot(
-                            cm[np.asarray(hier.lca_level(target, nbr_leaves))], ws
-                        )
-                    )
-                    - base
-                )
+                delta = float(np.dot(cost_row(target)[nbr_leaves], ws)) - base
                 if delta < best_delta and move_ok(v, target):
                     best_delta = delta
                     best_leaf = target

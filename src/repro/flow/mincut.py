@@ -39,13 +39,24 @@ def isolating_cut_weight(g: Graph, vertices: np.ndarray) -> float:
 
 
 def stoer_wagner(g: Graph) -> Tuple[float, np.ndarray]:
-    """Global minimum cut of a connected weighted graph.
+    """Global minimum cut of a weighted graph.
 
-    Classic Stoer–Wagner: repeat *minimum cut phases* (maximum-adjacency
-    orderings) on a shrinking contracted graph, keeping the best
-    cut-of-the-phase.  O(n·m + n² log n) conceptually; here O(n³)-ish with
-    dense numpy inner ops, which is fine for the ≲ 500-vertex pieces the
+    Classic Stoer–Wagner: repeat *minimum cut phases* on a shrinking
+    contracted graph and keep the lightest cut-of-the-phase.  Each phase
+    is a maximum-adjacency ordering over a dense weight matrix: a ``key``
+    vector holds every remaining vertex's weight to the grown set ``A``
+    (``-inf`` for vertices already in ``A`` or contracted away), and each
+    step adds ``argmax(key)`` to ``A`` and its weight row to ``key``.  The
+    last two vertices ``s``, ``t`` of the order are merged, ``t`` into
+    ``s``.  O(n³) numpy work, fine for the ≲ 500-vertex pieces the
     decomposition builders hand it.
+
+    Tie-break contract: a phase starts from the lowest-numbered active
+    vertex, among equal keys the lowest-numbered vertex joins ``A``
+    first (``argmax`` returns the first maximum), each cut-of-the-phase
+    is summed left to right in ascending vertex order, and a later phase
+    replaces the best cut only if strictly lighter.  Disconnected graphs
+    return weight 0 and the first vertex's component.
 
     Returns
     -------
@@ -66,36 +77,39 @@ def stoer_wagner(g: Graph) -> Tuple[float, np.ndarray]:
     w[g.edges_v, g.edges_u] = g.edges_w
     # groups[i] = original vertices merged into supervertex i.
     groups = [[i] for i in range(n)]
-    active = list(range(n))
+    alive = np.ones(n, dtype=bool)
+    n_active = n
 
     best_weight = float("inf")
     best_group: list[int] = []
 
-    while len(active) > 1:
-        # Maximum-adjacency ordering within `active`.
-        a0 = active[0]
-        in_a = {a0}
-        weights_to_a = {v: w[a0, v] for v in active if v != a0}
-        order = [a0]
-        while len(in_a) < len(active):
-            nxt = max(weights_to_a, key=lambda v: weights_to_a[v])
-            order.append(nxt)
-            in_a.add(nxt)
-            del weights_to_a[nxt]
-            for v in weights_to_a:
-                weights_to_a[v] += w[nxt, v]
-        s, t = order[-2], order[-1]
-        cut_of_phase = float(sum(w[t, v] for v in active if v != t))
+    while n_active > 1:
+        # Maximum-adjacency ordering over the alive vertices; only the
+        # last two (s, t) matter.
+        a0 = int(np.argmax(alive))
+        key = np.where(alive, w[a0], -np.inf)
+        key[a0] = -np.inf
+        s, t = a0, a0
+        for _ in range(n_active - 1):
+            nxt = int(key.argmax())
+            key[nxt] = -np.inf
+            key += w[nxt]
+            s, t = t, nxt
+        alive[t] = False
+        # Cut of the phase: t against everything else, summed left to
+        # right in ascending vertex order (a running sum; ``np.sum`` sums
+        # pairwise and Python 3.12's ``sum`` compensates).
+        cut_of_phase = float(np.cumsum(w[t, alive])[-1])
         if cut_of_phase < best_weight:
             best_weight = cut_of_phase
             best_group = list(groups[t])
         # Contract t into s.
-        for v in active:
-            if v not in (s, t):
-                w[s, v] += w[t, v]
-                w[v, s] = w[s, v]
+        rest = np.flatnonzero(alive)
+        rest = rest[rest != s]
+        w[s, rest] += w[t, rest]
+        w[rest, s] = w[s, rest]
         groups[s].extend(groups[t])
-        active.remove(t)
+        n_active -= 1
 
     mask = np.zeros(n, dtype=bool)
     mask[best_group] = True

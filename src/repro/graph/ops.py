@@ -132,8 +132,24 @@ def dijkstra(
 
 
 def all_pairs_dijkstra(g: Graph, lengths: Optional[np.ndarray] = None) -> np.ndarray:
-    """Dense all-pairs shortest-path matrix (O(n · m log n)); small graphs only."""
-    return np.vstack([dijkstra(g, s, lengths) for s in range(g.n)])
+    """Dense all-pairs shortest-path matrix (O(n · m log n)); small graphs only.
+
+    The default ``1 / w`` lengths run on :func:`scipy.sparse.csgraph.dijkstra`
+    over the graph's own CSR adjacency (parallel edges are already merged
+    and every length is positive, so no entry is summed or dropped).  Its
+    distances equal the per-source heap :func:`dijkstra`'s bit for bit:
+    both settle each vertex at the least float ``dist[u] + len(u, v)``
+    over its neighbours.  Explicit ``lengths`` may hold zeros, which
+    csgraph reads as missing edges, so they stay on the heap version.
+    """
+    if lengths is not None:
+        return np.vstack([dijkstra(g, s, lengths) for s in range(g.n)])
+    # Imported here: workloads that never build an FRT tree skip its RSS.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
+
+    adj = csr_matrix((1.0 / g.adj_weights, g.indices, g.indptr), shape=(g.n, g.n))
+    return csgraph_dijkstra(adj, directed=True)
 
 
 def minimum_spanning_tree(g: Graph, maximize: bool = False) -> np.ndarray:

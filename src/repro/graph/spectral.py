@@ -6,9 +6,11 @@ initial-partition stage both need a cheap, dependable way to find
 low-conductance cuts.  We implement:
 
 * graph Laplacian / normalized Laplacian assembly (sparse),
-* a Fiedler-vector solver — our own shift-inverted power/Lanczos-lite
-  iteration with a deflation against the constant vector, falling back to
-  :func:`scipy.sparse.linalg.eigsh` for stubborn spectra, and
+* a Fiedler-vector solver — a power iteration on ``cI − L`` (``c`` an
+  upper bound on the spectrum, so the smallest eigenvalues of ``L``
+  become the largest), deflated against the known kernel direction each
+  step, falling back to :func:`scipy.sparse.linalg.eigsh` when the
+  iteration budget runs out, and
 * the classic *sweep cut* rounding that scans the sorted Fiedler
   embedding and takes the best conductance (or best balanced-cut)
   threshold, which carries Cheeger-style guarantees.
@@ -17,6 +19,7 @@ low-conductance cuts.  We implement:
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -71,8 +74,9 @@ def fiedler_vector(
 
     Strategy: deflated power iteration on ``cI − L`` (which maps the
     smallest eigenvalues of ``L`` to the largest of the iteration matrix),
-    orthogonalised against the known kernel direction each step.  If the
-    iteration stalls (tiny spectral gap) we defer to scipy's Lanczos.
+    orthogonalised against the known kernel direction each step.  If it
+    has not converged within ``max_iter`` steps (tiny spectral gap) we
+    fall back to scipy's :func:`~scipy.sparse.linalg.eigsh`.
 
     Caching: the eigensolve is deterministic given the graph and the
     random start vector, so results are memoised in :mod:`repro.cache`
@@ -110,6 +114,12 @@ def fiedler_vector(
     return _solve_fiedler(g, normalized, tol, max_iter, start)
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D float64 vector, bit for bit (it computes
+    ``sqrt(v.dot(v))`` too), without its per-call dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def _solve_fiedler(
     g: Graph, normalized: bool, tol: float, max_iter: int, start: np.ndarray
 ) -> np.ndarray:
@@ -143,12 +153,12 @@ def _solve_fiedler(
         y = shift * x - kernels.csr_matvec(
             lap_indptr, lap_indices, lap_data, x, backend=backend
         )
-        y -= kernel * (kernel @ y)
-        nrm = np.linalg.norm(y)
+        y -= kernel * kernel.dot(y)
+        nrm = _norm(y)
         if nrm < 1e-14:
             break
         y /= nrm
-        if np.linalg.norm(y - x) < tol or np.linalg.norm(y + x) < tol:
+        if _norm(y - x) < tol or _norm(y + x) < tol:
             return y
         x = y
     # Fallback: scipy Lanczos on the two smallest eigenpairs.  The start
@@ -205,7 +215,6 @@ def sweep_cut(
     # each CSR entry once.
     indptr, indices, aw = g.indptr, g.indices, g.adj_weights
     for t, v in enumerate(order[:-1]):
-        w_back = 0.0
         rv = rank[indices[indptr[v] : indptr[v + 1]]]
         ws = aw[indptr[v] : indptr[v + 1]]
         w_back = float(ws[rv < t].sum())
