@@ -1,32 +1,22 @@
-"""E21 — pluggable kernel backends: python reference vs numba JIT.
+"""E21 — reference checksums and timings of the six hot loops.
 
-The kernel seam (``src/repro/kernels``) promises two things: the numba
-backend is *fast* (the point of the seam) and *bit-identical* (the
-contract that makes it safe to enable by default).  This experiment pins
-both on the six-kernel ABI:
+The solver's innermost loops are plain module-level functions: Dinic's
+level BFS and blocking flow (:mod:`repro.flow.maxflow`), the DP tile
+merge and dominance scan (:mod:`repro.hgpt.dp`), the Laplacian matvec
+of the Fiedler power iteration (``lap @ x``, :mod:`repro.graph.spectral`)
+and heavy-edge matching (:mod:`repro.decomposition.contraction`).  This
+experiment runs each on a fixed representative input and records a
+deterministic checksum of its output as the point's gated "cost", plus
+the E18 ``h=3`` deep-hierarchy DP end to end.
 
-* **Per-kernel microbenches** — representative inputs for each kernel,
-  timed per backend (best-of-``repeat``; the numba timings exclude the
-  one-off JIT compile because later repeats dominate the minimum).
-  Outputs are compared with exact equality — any drift fails the run.
-* **End-to-end** — the E18 ``h=3`` deep-hierarchy DP solved under each
-  backend via :func:`repro.kernels.use_backend`; solutions (costs *and*
-  level sets) must be verbatim identical.
-
-The machine-readable companion (``BENCH_E21_kernels.json``) keeps its
-``points`` backend-independent (python-backend timings + deterministic
-checksums as the gated "cost"), so the checked-in baseline matches in
-both CI legs; the numba measurements land in ``meta``
-(``{kernel}_speedup``, ``e2e_dp_speedup``, ``numba_available``,
-``zero_drift``) where the kernels CI job gates them with
-``tools/bench_regress.py --min-meta``.  On a python-only box the
-speedup keys are simply absent and the microbenches still pin the
-reference timings and checksums.
+``tools/bench_regress.py`` gates those checksums hard against the
+checked-in ``BENCH_E21_kernels.json``, so any change to a loop's
+arithmetic or iteration order fails the run; the timings (best of
+``repeat``, in ``meta`` and each point's ``time_s``) are warn-only.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import time
 
 import numpy as np
@@ -34,23 +24,22 @@ import numpy as np
 from repro import Hierarchy
 from repro.bench import Table, save_result, save_result_json
 from repro.core.telemetry import MemberRecord, Telemetry
+from repro.decomposition.contraction import _heavy_edge_match
 from repro.decomposition.spectral_tree import spectral_decomposition_tree
+from repro.flow.maxflow import _blocking_flow, _bfs_levels
 from repro.graph.generators import (
     barabasi_albert,
     planted_partition,
     random_demands,
 )
 from repro.hgpt.binarize import binarize
-from repro.hgpt.dp import DPStats, solve_rhgpt
+from repro.hgpt.dp import DPStats, _dominance_scan, _tile_merge, solve_rhgpt
 from repro.hgpt.quantize import DemandGrid
-from repro.kernels import resolve_backend, use_backend
 from repro.obs.exporter import maybe_start_from_env
 
 SEED = 21
 
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-
-#: The E18 h=3 point — the deep-hierarchy regime the seam targets.
+#: The E18 h=3 point — the deep-hierarchy regime of the DP loops.
 E2E_HIER = Hierarchy([2, 2, 2], [8.0, 4.0, 1.0, 0.0])
 E2E_BUDGET = 144
 
@@ -79,32 +68,27 @@ def _dinic_instance():
     return g.n, heads, caps, arc_indptr, arc_ids, 0, g.n - 1
 
 
-def _bench_dinic(backend, inst, repeat=3):
-    """Full Dinic on ``inst``; returns per-kernel times + drift payload."""
+def _bench_dinic(inst, repeat=3):
+    """Full Dinic on ``inst``; returns per-loop times and the flow value."""
     _n, heads, caps0, arc_indptr, arc_ids, s, t = inst
     best_bfs = best_blk = float("inf")
     total = 0.0
-    caps = caps0
     for _ in range(repeat):
         caps = caps0.copy()
         bfs_s = blk_s = 0.0
         total = 0.0
         while True:
             t0 = _pc()
-            level = np.asarray(
-                backend.dinic_bfs_levels(heads, caps, arc_indptr, arc_ids, s)
-            )
+            level = _bfs_levels(heads, caps, arc_indptr, arc_ids, s)
             bfs_s += _pc() - t0
             if level[t] < 0:
                 break
             t0 = _pc()
-            total += backend.dinic_blocking_flow(
-                heads, caps, arc_indptr, arc_ids, level, s, t
-            )
+            total += _blocking_flow(heads, caps, arc_indptr, arc_ids, level, s, t)
             blk_s += _pc() - t0
         best_bfs = min(best_bfs, bfs_s)
         best_blk = min(best_blk, blk_s)
-    return best_bfs, best_blk, float(total), caps
+    return best_bfs, best_blk, float(total)
 
 
 def _tile_instance():
@@ -125,19 +109,14 @@ def _prune_instance():
     sigs = rng.integers(0, 16, size=(m, h)).astype(np.int64)
     costs = rng.uniform(0.0, 100.0, size=m)
     order = np.lexsort(tuple(sigs[:, i] for i in range(h - 1, -1, -1)) + (costs,))
-    return sigs, costs, order, -1
+    return sigs, costs, order, None
 
 
 def _matvec_instance():
     g = barabasi_albert(2000, 4, weight_range=(0.5, 2.0), seed=5)
     lap = g.to_scipy_sparse().tocsr()
     x = np.random.default_rng(6).uniform(-1.0, 1.0, size=g.n)
-    return (
-        lap.indptr.astype(np.int64),
-        lap.indices.astype(np.int64),
-        lap.data.astype(np.float64),
-        x,
-    )
+    return lap, x
 
 
 def _hem_instance():
@@ -168,17 +147,7 @@ def _e2e_instance():
     return g.n, bt, caps, deltas
 
 
-def _canonical(sol):
-    return (
-        sol.cost,
-        [
-            [(tuple(int(v) for v in s.vertices), int(s.qdemand)) for s in level]
-            for level in sol.levels
-        ],
-    )
-
-
-def _point(sweep, n, secs, cost, extra_meta=None):
+def _point(sweep, n, secs, cost):
     tel = Telemetry("bench")
     tel.add_seconds("kernel", secs, 1)
     return {
@@ -187,9 +156,7 @@ def _point(sweep, n, secs, cost, extra_meta=None):
         "h": 0,
         "grid_cells": 0,
         "time_s": secs,
-        "report": tel.report(
-            config=dict({"sweep": sweep}, **(extra_meta or {})), cost=float(cost)
-        ).to_dict(),
+        "report": tel.report(config={"sweep": sweep}, cost=float(cost)).to_dict(),
     }
 
 
@@ -203,131 +170,89 @@ def _experiment():
 
 
 def _experiment_body():
-    backends = {"python": resolve_backend("python")}
-    if HAVE_NUMBA:
-        backends["numba"] = resolve_backend("numba")
-        assert backends["numba"].name == "numba"
-
     table = Table(
-        ["kernel", "n", "python_s", "numba_s", "speedup"],
-        title="E21: kernel backends, python reference vs numba JIT",
+        ["kernel", "n", "time_s", "checksum"],
+        title="E21: hot-loop reference checksums",
     )
     points = []
-    meta = {"numba_available": 1.0 if HAVE_NUMBA else 0.0}
-    drift_ok = True
+    meta = {}
 
-    # --- Dinic (two kernels share one instance) -----------------------
+    # --- Dinic (two loops share one instance) -------------------------
     dinic = _dinic_instance()
-    runs = {name: _bench_dinic(b, dinic) for name, b in backends.items()}
-    bfs_py, blk_py, flow_py, caps_py = runs["python"]
-    for kernel, idx, checksum in (
-        ("dinic_bfs_levels", 0, flow_py),
-        ("dinic_blocking_flow", 1, flow_py),
+    bfs_s, blk_s, flow = _bench_dinic(dinic)
+    for kernel, secs in (
+        ("dinic_bfs_levels", bfs_s),
+        ("dinic_blocking_flow", blk_s),
     ):
-        py_s = runs["python"][idx]
-        meta[f"{kernel}_python_s"] = py_s
-        nb_s = None
-        if HAVE_NUMBA:
-            nb_s = runs["numba"][idx]
-            meta[f"{kernel}_numba_s"] = nb_s
-            meta[f"{kernel}_speedup"] = py_s / nb_s if nb_s > 0 else float("inf")
-            drift_ok &= runs["numba"][2] == flow_py
-            drift_ok &= bool(np.array_equal(runs["numba"][3], caps_py))
-        table.add_row(
-            [kernel, dinic[0], py_s, nb_s,
-             meta.get(f"{kernel}_speedup")]
-        )
-        points.append(_point(f"kernel_{kernel}", dinic[0], py_s, checksum))
+        meta[f"{kernel}_s"] = secs
+        table.add_row([kernel, dinic[0], secs, flow])
+        points.append(_point(f"kernel_{kernel}", dinic[0], secs, flow))
 
-    # --- the four single-call kernels ---------------------------------
+    # --- the four single-call loops -----------------------------------
     tile = _tile_instance()
     prune = _prune_instance()
-    matvec = _matvec_instance()
+    lap, x = _matvec_instance()
     hem = _hem_instance()
     single = (
         (
             "dp_tile_merge",
             tile[0].shape[0] * tile[2].shape[0],
-            lambda b: b.dp_tile_merge(*tile),
-            lambda out: float(np.asarray(out[1]).sum()) + float(out[5]),
-            lambda a, c: all(
-                np.array_equal(np.asarray(x), np.asarray(y))
-                for x, y in zip(a[:5], c[:5])
-            ) and int(a[5]) == int(c[5]),
+            lambda: _tile_merge(*tile),
+            lambda out: float(out[1].sum()) + float(out[5]),
         ),
         (
             "dp_dominance_prune",
             prune[0].shape[0],
-            lambda b: b.dp_dominance_prune(*prune),
-            lambda out: float(np.asarray(out[0]).sum()),
-            lambda a, c: np.array_equal(np.asarray(a[0]), np.asarray(c[0]))
-            and bool(a[1]) == bool(c[1]),
+            lambda: _dominance_scan(*prune),
+            lambda out: float(out[0].sum()),
         ),
         (
             "csr_matvec",
-            matvec[3].shape[0],
-            lambda b: b.csr_matvec(*matvec),
-            lambda out: float(np.asarray(out).sum()),
-            lambda a, c: np.array_equal(np.asarray(a), np.asarray(c)),
+            x.shape[0],
+            lambda: lap @ x,
+            lambda out: float(out.sum()),
         ),
         (
             "heavy_edge_match",
             hem[0],
-            lambda b: b.heavy_edge_match(*hem[1:]),
-            lambda out: float((np.asarray(out) >= 0).sum()),
-            lambda a, c: np.array_equal(np.asarray(a), np.asarray(c)),
+            lambda: _heavy_edge_match(*hem[1:]),
+            lambda out: float((out >= 0).sum()),
         ),
     )
-    for kernel, n, run, checksum, same in single:
-        py_s, py_out = _time_best(lambda: run(backends["python"]))
-        meta[f"{kernel}_python_s"] = py_s
-        nb_s = None
-        if HAVE_NUMBA:
-            nb_s, nb_out = _time_best(lambda: run(backends["numba"]))
-            meta[f"{kernel}_numba_s"] = nb_s
-            meta[f"{kernel}_speedup"] = py_s / nb_s if nb_s > 0 else float("inf")
-            drift_ok &= bool(same(nb_out, py_out))
-        table.add_row([kernel, n, py_s, nb_s, meta.get(f"{kernel}_speedup")])
-        points.append(_point(f"kernel_{kernel}", n, py_s, checksum(py_out)))
+    for kernel, n, run, checksum in single:
+        secs, out = _time_best(run)
+        meta[f"{kernel}_s"] = secs
+        table.add_row([kernel, n, secs, checksum(out)])
+        points.append(_point(f"kernel_{kernel}", n, secs, checksum(out)))
 
-    # --- end-to-end: the E18 h=3 DP under each backend ----------------
+    # --- end-to-end: the E18 h=3 DP -----------------------------------
     n, bt, caps, deltas = _e2e_instance()
 
-    def solve_under(name):
-        with use_backend(name):
-            stats = DPStats()
-            t0 = _pc()
-            sol = solve_rhgpt(bt, caps, deltas, stats=stats)
-            return _pc() - t0, sol, stats
+    def solve():
+        stats = DPStats()
+        t0 = _pc()
+        sol = solve_rhgpt(bt, caps, deltas, stats=stats)
+        return _pc() - t0, sol, stats
 
-    solve_under("python")  # warm process caches
-    py_s, py_sol, py_stats = solve_under("python")
-    if HAVE_NUMBA:
-        solve_under("numba")  # JIT warm-up
-        nb_s, nb_sol, _ = solve_under("numba")
-        drift_ok &= _canonical(nb_sol) == _canonical(py_sol)
-        meta["e2e_numba_s"] = nb_s
-        meta["e2e_dp_speedup"] = py_s / nb_s if nb_s > 0 else float("inf")
-    meta["e2e_python_s"] = py_s
-    table.add_row(
-        ["e2e_dp_h3", n, py_s, meta.get("e2e_numba_s"),
-         meta.get("e2e_dp_speedup")]
-    )
+    solve()  # warm process caches
+    e2e_s, sol, stats = solve()
+    meta["e2e_s"] = e2e_s
+    table.add_row(["e2e_dp_h3", n, e2e_s, sol.cost])
     tel = Telemetry("bench")
-    tel.add_seconds("dp", py_s, 1)
+    tel.add_seconds("dp", e2e_s, 1)
     tel.record_member(
         MemberRecord(
             index=0,
             method="spectral",
-            dp_cost=float(py_sol.cost),
-            dp_seconds=py_s,
-            dp_nodes=py_stats.nodes,
-            dp_states_total=py_stats.states_total,
-            dp_states_max=py_stats.states_max,
-            dp_merges=py_stats.merges,
-            dp_tiles=py_stats.tiles,
-            dp_bound_pruned=py_stats.bound_pruned,
-            dp_table_peak_bytes=py_stats.table_peak_bytes,
+            dp_cost=float(sol.cost),
+            dp_seconds=e2e_s,
+            dp_nodes=stats.nodes,
+            dp_states_total=stats.states_total,
+            dp_states_max=stats.states_max,
+            dp_merges=stats.merges,
+            dp_tiles=stats.tiles,
+            dp_bound_pruned=stats.bound_pruned,
+            dp_table_peak_bytes=stats.table_peak_bytes,
         )
     )
     points.append(
@@ -336,17 +261,14 @@ def _experiment_body():
             "n": n,
             "h": E2E_HIER.h,
             "grid_cells": E2E_BUDGET,
-            "time_s": py_s,
-            "report": tel.report(config={"backend": "python"}).to_dict(),
+            "time_s": e2e_s,
+            "report": tel.report(config={"sweep": "e2e_python"}).to_dict(),
         }
     )
-
-    assert drift_ok, "backend outputs drifted — the bit-identity contract broke"
-    meta["zero_drift"] = 1.0
     return table, points, meta
 
 
-def test_e21_kernel_backends(benchmark, results_dir):
+def test_e21_kernels(benchmark, results_dir):
     table, points, meta = benchmark.pedantic(_experiment, rounds=1, iterations=1)
     save_result("E21_kernels", table.show(), results_dir)
     save_result_json(
@@ -359,9 +281,3 @@ def test_e21_kernel_backends(benchmark, results_dir):
         },
         results_dir,
     )
-    assert meta["zero_drift"] == 1.0
-    if HAVE_NUMBA:
-        # Acceptance (re-gated in CI via --min-meta): the JIT backend
-        # beats the python hot loops where they are interpreter-bound.
-        assert meta["dinic_blocking_flow_speedup"] >= 3.0, meta
-        assert meta["dp_dominance_prune_speedup"] >= 3.0, meta

@@ -47,7 +47,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-import repro.kernels as kernels
 from repro.cache import resolve_cache
 from repro.errors import InfeasibleError, InvalidInputError, SolverError
 from repro.graph.graph import Graph
@@ -87,7 +86,6 @@ __all__ = [
     "solve_member",
     "run_pipeline",
     "validate_instance",
-    "check_instance",
     "incremental_enabled",
 ]
 
@@ -101,7 +99,7 @@ def incremental_enabled(config: SolverConfig) -> bool:
 
     ``REPRO_INCREMENTAL`` overrides ``config.incremental.enabled`` in
     either direction (``0``/``false``/``off`` disable, anything else
-    enables), mirroring ``REPRO_KERNEL_BACKEND``'s precedence.  The memo
+    enables).  The memo
     additionally requires the solver cache itself to be on — the
     ``subtree_tables`` tier lives inside it.
     """
@@ -141,11 +139,6 @@ def validate_instance(
             f"total demand {demands.sum():.4g} exceeds total capacity "
             f"{hierarchy.total_capacity:.4g}"
         )
-
-
-#: Pre-resilience name of :func:`validate_instance`, kept as an alias for
-#: callers written against the old engine API.
-check_instance = validate_instance
 
 
 def make_grid(
@@ -540,21 +533,18 @@ def solve_member(
     """
     own_stats = DPStats()
     sw = Stopwatch()
-    kcfg = getattr(config, "kernel", None)
     # mark_active gives the sampling profiler span attribution for these
     # phases; the Stopwatch (picklable, worker-side) stays the timing
-    # source of truth.  The kernel scope makes pool workers (which see
-    # only this function) dispatch on the run's configured backend.
-    with kernels.use_backend(kcfg.backend if kcfg is not None else "auto"):
-        with sw.section("dp"), mark_active("dp"):
-            solution, escalations = _DP_STAGE.run_member(
-                tree, hierarchy, demands, config, grid, stats=own_stats
-            )
-        with sw.section("repair"), mark_active("repair"):
-            placement = _REPAIR_STAGE.run_member(
-                tree, hierarchy, demands, solution, grid
-            )
-            mapped = placement.cost()
+    # source of truth.
+    with sw.section("dp"), mark_active("dp"):
+        solution, escalations = _DP_STAGE.run_member(
+            tree, hierarchy, demands, config, grid, stats=own_stats
+        )
+    with sw.section("repair"), mark_active("repair"):
+        placement = _REPAIR_STAGE.run_member(
+            tree, hierarchy, demands, solution, grid
+        )
+        mapped = placement.cost()
     if stats is not None:
         stats.update(own_stats)
     record = MemberRecord(
@@ -627,7 +617,6 @@ class EngineResult:
     config: SolverConfig
     run_id: Optional[str] = None
     failures: List[MemberFailure] = field(default_factory=list)
-    kernel_backend: Optional[str] = None
     incremental: Optional[bool] = None
 
     @property
@@ -648,14 +637,10 @@ class EngineResult:
         """Freeze the run into a JSON-serialisable :class:`RunReport`.
 
         The run's correlation id is stamped into ``meta["run_id"]`` so
-        reports, traces and JSON-lines logs cross-reference, and the
-        resolved kernel backend into ``meta["kernel_backend"]``
-        (schema-compatible additive field).
+        reports, traces and JSON-lines logs cross-reference.
         """
         if self.run_id is not None:
             meta.setdefault("run_id", self.run_id)
-        if self.kernel_backend is not None:
-            meta.setdefault("kernel_backend", self.kernel_backend)
         if self.incremental is not None:
             meta.setdefault("incremental", self.incremental)
         return self.telemetry.report(
@@ -873,16 +858,8 @@ def run_pipeline(
         from repro.obs.profile import ProfileSession
 
         session = ProfileSession(prof_cfg, ctx.telemetry).start()
-    kcfg = getattr(config, "kernel", None)
     try:
-        with kernels.use_backend(
-            kcfg.backend if kcfg is not None else "auto"
-        ) as kernel_backend:
-            # Span attr: which backend served this run (report meta gets
-            # the same name via EngineResult.kernel_backend).
-            ctx.telemetry.counter(f"kernel_backend_{kernel_backend.name}", 1)
-            result = (engine or Engine()).run(ctx)
-        result.kernel_backend = kernel_backend.name
+        result = (engine or Engine()).run(ctx)
         result.incremental = incremental_enabled(config)
     finally:
         if session is not None:

@@ -66,8 +66,8 @@ class HGPResult:
     telemetry:
         The structured collector for this run (``None`` only for results
         constructed by legacy code that never went through the engine).
-    kernel_backend, incremental:
-        The engine's resolved-mode stamps, carried through so
+    incremental:
+        The engine's resolved-mode stamp, carried through so
         :meth:`report` tags the run meta exactly as the engine's own
         reports do.
     """
@@ -80,7 +80,6 @@ class HGPResult:
         stopwatch: Stopwatch,
         grid: DemandGrid,
         telemetry: Optional[Telemetry] = None,
-        kernel_backend: Optional[str] = None,
         incremental: Optional[bool] = None,
     ):
         self.placement = placement
@@ -89,7 +88,6 @@ class HGPResult:
         self.stopwatch = stopwatch
         self.grid = grid
         self.telemetry = telemetry
-        self.kernel_backend = kernel_backend
         self.incremental = incremental
 
     @property
@@ -101,8 +99,6 @@ class HGPResult:
         """Structured run report (requires engine-produced telemetry)."""
         if self.telemetry is None:
             raise ValueError("this result carries no telemetry")
-        if self.kernel_backend is not None:
-            meta.setdefault("kernel_backend", self.kernel_backend)
         if self.incremental is not None:
             meta.setdefault("incremental", self.incremental)
         return self.telemetry.report(
@@ -185,7 +181,6 @@ def solve_hgp(
             res.telemetry.to_stopwatch(),
             res.coarse.grid,
             telemetry=res.telemetry,
-            kernel_backend=res.coarse.kernel_backend,
             incremental=res.coarse.incremental,
         )
     result = run_pipeline(g, hierarchy, demands, config, path="batch")
@@ -196,6 +191,5 @@ def solve_hgp(
         result.stopwatch(),
         result.grid,
         telemetry=result.telemetry,
-        kernel_backend=result.kernel_backend,
         incremental=result.incremental,
     )

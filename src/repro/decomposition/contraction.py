@@ -17,7 +17,6 @@ from typing import List, Optional
 
 import numpy as np
 
-import repro.kernels as kernels
 from repro.graph.graph import Graph
 from repro.decomposition.tree import DecompositionTree, TreeAssembler
 from repro.utils.rng import SeedLike, ensure_rng
@@ -56,10 +55,8 @@ def heavy_edge_matching(
 
     Returns ``match[v]`` = partner id or ``-1`` (unmatched).
 
-    The proposal rounds themselves are the ``heavy_edge_match`` kernel
-    dispatched through :mod:`repro.kernels`; this wrapper draws the
-    random tie-break priority (before anything else, preserving the rng
-    stream) and precomputes the per-CSR-entry weight-cap mask.
+    The random tie-break priority is drawn before anything else, so the
+    rng stream does not depend on the weight caps.
     """
     n = g.n
     if n == 0 or g.m == 0:
@@ -72,9 +69,60 @@ def heavy_edge_matching(
         fits = (vw[owner] + vw[g.indices]) <= max_weight * (1 + 1e-9)
     else:
         fits = np.ones(g.indices.size, dtype=bool)
-    return kernels.heavy_edge_match(
+    return _heavy_edge_match(
         g.indptr, g.indices, g.adj_weights, tie, fits, max(1, rounds)
     )
+
+
+def _heavy_edge_match(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    tie: np.ndarray,
+    fits: np.ndarray,
+    rounds: int,
+) -> np.ndarray:
+    """Proposal rounds over CSR adjacency.
+
+    ``tie`` is the per-vertex random priority, ``fits`` the per-CSR-entry
+    eligibility mask (weight caps).  Returns ``match[v]`` = partner or
+    ``-1``.
+    """
+    n = indptr.shape[0] - 1
+    match = np.full(n, -1, dtype=np.int64)
+    deg = np.diff(indptr)
+    owner = np.repeat(np.arange(n, dtype=np.int64), deg)
+    # Static per-call entry order: within each vertex's CSR segment,
+    # heaviest edge first, then lowest random priority of the neighbour.
+    order = np.lexsort((tie[indices], -weights, owner))
+    nbr = indices[order]
+    fits = fits[order]
+    n_entries = nbr.size
+    entry_pos = np.arange(n_entries, dtype=np.int64)
+    seg_start = indptr[:-1]
+    nonempty = deg > 0
+    ids = np.arange(n, dtype=np.int64)
+    for _ in range(rounds):
+        free = match < 0
+        if not free.any():
+            break
+        elig = fits & free[nbr]
+        # First eligible entry per CSR segment (min position, reduceat
+        # over the non-empty segments only; an empty reduce is invalid).
+        pos = np.where(elig, entry_pos, n_entries)
+        first = np.full(n, n_entries, dtype=np.int64)
+        if nonempty.any():
+            first[nonempty] = np.minimum.reduceat(pos, seg_start[nonempty])
+        proposal = np.full(n, -1, dtype=np.int64)
+        has = free & (first < n_entries)
+        proposal[has] = nbr[first[has]]
+        # Conflict resolution: only mutual proposals match this round.
+        target = np.where(proposal >= 0, proposal, 0)
+        mutual = (proposal >= 0) & (proposal[target] == ids)
+        if not mutual.any():
+            break
+        match[mutual] = proposal[mutual]
+    return match
 
 
 def matching_labels(match: np.ndarray) -> np.ndarray:

@@ -2,11 +2,8 @@
 
 Used by the Gomory–Hu tree builder and by the flow-based decomposition
 tree heuristics.  The residual network lives in flat numpy arrays (arc
-lists with paired reverse arcs, CSR-style per-vertex arc segments), and
-the level-graph BFS / blocking-flow DFS loop dispatches through the
-:mod:`repro.kernels` backend seam — the pure-python reference kernels
-are the original explicit-stack implementations, and the numba backend
-JIT-compiles the same loops with bit-identical results.
+lists with paired reverse arcs, CSR-style per-vertex arc segments); each
+phase runs a level-graph BFS and an explicit-stack blocking-flow DFS.
 
 Complexity: ``O(V^2 E)`` in general, ``O(E sqrt(V))`` on unit networks —
 ample for the instance sizes the decomposition builders feed it.
@@ -19,7 +16,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-import repro.kernels as kernels
 from repro.errors import InvalidInputError
 from repro.graph.graph import Graph
 from repro.obs.metrics import get_registry
@@ -52,6 +48,96 @@ def _metric_handles() -> tuple:
     )
     _METRIC_HANDLES = (metrics, metrics.generation, handles)
     return handles
+
+
+def _bfs_levels(
+    heads: np.ndarray,
+    caps: np.ndarray,
+    arc_indptr: np.ndarray,
+    arc_ids: np.ndarray,
+    s: int,
+) -> np.ndarray:
+    """Level-graph BFS from ``s`` over arcs with residual capacity."""
+    n = arc_indptr.shape[0] - 1
+    level = np.full(n, -1, dtype=np.int64)
+    level[s] = 0
+    queue = [s]
+    qi = 0
+    while qi < len(queue):
+        v = queue[qi]
+        qi += 1
+        for a in arc_ids[arc_indptr[v]:arc_indptr[v + 1]]:
+            u = heads[a]
+            if caps[a] > 1e-12 and level[u] < 0:
+                level[u] = level[v] + 1
+                queue.append(int(u))
+    return level
+
+
+def _blocking_flow(
+    heads: np.ndarray,
+    caps: np.ndarray,
+    arc_indptr: np.ndarray,
+    arc_ids: np.ndarray,
+    level: np.ndarray,
+    s: int,
+    t: int,
+) -> float:
+    """One blocking-flow phase; mutates ``caps`` and ``level`` in place."""
+    n = arc_indptr.shape[0] - 1
+    it = [0] * n
+    total = 0.0
+    inf = float("inf")
+    while True:
+        pushed = _dfs_push(heads, caps, arc_indptr, arc_ids, level, it, s, t, inf)
+        if pushed <= 1e-12:
+            break
+        total += pushed
+    return total
+
+
+def _dfs_push(
+    heads: np.ndarray,
+    caps: np.ndarray,
+    arc_indptr: np.ndarray,
+    arc_ids: np.ndarray,
+    level: np.ndarray,
+    it: List[int],
+    s: int,
+    t: int,
+    limit: float,
+) -> float:
+    """One augmenting path in the level graph (explicit stack DFS)."""
+    path: List[int] = []  # arc ids along the current path
+    v = s
+    while True:
+        if v == t:
+            bottleneck = min(limit, min(caps[a] for a in path)) if path else 0.0
+            for a in path:
+                caps[a] -= bottleneck
+                caps[a ^ 1] += bottleneck
+            return bottleneck
+        advanced = False
+        base = int(arc_indptr[v])
+        deg = int(arc_indptr[v + 1]) - base
+        while it[v] < deg:
+            a = int(arc_ids[base + it[v]])
+            u = int(heads[a])
+            if caps[a] > 1e-12 and level[u] == level[v] + 1:
+                path.append(a)
+                v = u
+                advanced = True
+                break
+            it[v] += 1
+        if advanced:
+            continue
+        # Dead end: retreat.
+        level[v] = -1
+        if not path:
+            return 0.0
+        a = path.pop()
+        v = int(heads[a ^ 1])
+        it[v] += 1
 
 
 class DinicMaxFlow:
@@ -125,8 +211,8 @@ class DinicMaxFlow:
         self._caps0 = np.asarray(self._caps, dtype=np.float64)
         self._caps0.setflags(write=False)
         self.caps = self._caps0.copy()
-        # Flat per-vertex arc segments (CSR over arc ids) — the layout
-        # the kernel ABI consumes; preserves _adj's append order.
+        # Flat per-vertex arc segments (CSR over arc ids); preserves
+        # _adj's append order.
         counts = np.fromiter(
             (len(arcs) for arcs in self._adj), dtype=np.int64, count=self.n
         )
@@ -150,18 +236,13 @@ class DinicMaxFlow:
         t0 = time.perf_counter()
         heads, caps = self.heads, self.caps
         arc_indptr, arc_ids = self.arc_indptr, self.arc_ids
-        backend = kernels.get_backend()
         s, t = int(s), int(t)
         total = 0.0
         while True:
-            level = kernels.dinic_bfs_levels(
-                heads, caps, arc_indptr, arc_ids, s, backend=backend
-            )
+            level = _bfs_levels(heads, caps, arc_indptr, arc_ids, s)
             if level[t] < 0:
                 break
-            total += kernels.dinic_blocking_flow(
-                heads, caps, arc_indptr, arc_ids, level, s, t, backend=backend
-            )
+            total += _blocking_flow(heads, caps, arc_indptr, arc_ids, level, s, t)
         calls, seconds = _metric_handles()
         calls.inc()
         seconds.observe(time.perf_counter() - t0)

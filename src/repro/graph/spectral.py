@@ -25,7 +25,6 @@ from typing import Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-import repro.kernels as kernels
 from repro.errors import InvalidInputError
 from repro.graph.graph import Graph
 from repro.utils.rng import SeedLike, ensure_rng
@@ -144,15 +143,8 @@ def _solve_fiedler(
         x[0] = -1.0
         nrm = np.linalg.norm(x)
     x /= nrm
-    # The matvec dominates the iteration; dispatch it through the kernel
-    # seam over the raw CSR arrays (the python backend reproduces
-    # ``lap @ x`` exactly, so cached Fiedler digests are unaffected).
-    lap_indptr, lap_indices, lap_data = lap.indptr, lap.indices, lap.data
-    backend = kernels.get_backend()
     for _ in range(max_iter):
-        y = shift * x - kernels.csr_matvec(
-            lap_indptr, lap_indices, lap_data, x, backend=backend
-        )
+        y = shift * x - lap @ x
         y -= kernel * kernel.dot(y)
         nrm = _norm(y)
         if nrm < 1e-14:

@@ -66,12 +66,8 @@ class BinaryTree:
 
     def postorder(self) -> np.ndarray:
         """Node ids with children before parents (iterative, no recursion)."""
-        return self.subtree_postorder(self.root)
-
-    def subtree_postorder(self, root: int) -> np.ndarray:
-        """Postorder of the subtree rooted at ``root`` (children first)."""
         order: List[int] = []
-        stack = [root]
+        stack = [self.root]
         while stack:
             v = stack.pop()
             order.append(v)
@@ -117,14 +113,6 @@ class BinaryTree:
                 h.update(np.float64(self.up_weight[b]).tobytes())
                 digests[v] = h.digest()
         return digests
-
-    def subtree_sizes(self) -> np.ndarray:
-        """Node count of the subtree rooted at each node (leaves = 1)."""
-        size = np.ones(self.n_nodes, dtype=np.int64)
-        for v in self.postorder():
-            if self.left[v] >= 0:
-                size[v] += size[int(self.left[v])] + size[int(self.right[v])]
-        return size
 
     def validate(self) -> None:
         """Structural sanity: every internal node has two children, every

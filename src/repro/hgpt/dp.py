@@ -45,10 +45,10 @@ Implementation
 State tables are *structure-of-arrays* (signature matrix, cost vector,
 back-pointer columns) and every pass — projection, pairwise merge,
 deduplication, dominance pruning — is vectorised numpy over those
-arrays.  The merge engine is a *bounded, tiled, optionally
-subtree-parallel* kernel configured by :class:`DPConfig`; all knob
-combinations return costs identical to the exhaustive merge (pinned by
-``tests/hgpt/test_dp_kernel.py``).  Semantics:
+arrays.  The merge engine is a *bounded, tiled* kernel configured by
+:class:`DPConfig`; all knob combinations return costs identical to the
+exhaustive merge (pinned by ``tests/hgpt/test_dp_kernel.py``).
+Semantics:
 
 * **Projection**: cutting a child's up-edge at level ``j`` zeroes
   signature components above ``j`` and pays for each closed non-empty
@@ -71,9 +71,6 @@ combinations return costs identical to the exhaustive merge (pinned by
   through fixed-size tiles that are bound-pruned, feasibility-masked and
   periodically compacted (radix dedupe + dominance), capping peak table
   bytes instead of materialising every candidate at once.
-* **Subtree parallelism**: disjoint subtrees below a size threshold are
-  independent, so their tables can be farmed across the persistent
-  :mod:`repro.core.pool` workers; the parent merges only the spine.
 * **Beam**: an optional cap on states kept per node; the most-closed
   surviving state is always retained (dropping every flexible state can
   make an ancestor infeasible), and the solver escalates to the exact
@@ -85,15 +82,14 @@ combinations return costs identical to the exhaustive merge (pinned by
 
 from __future__ import annotations
 
+import bisect
 import math
-import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-import repro.kernels as kernels
 from repro.errors import InvalidInputError, SolverError
 from repro.hgpt.binarize import BinaryTree
 from repro.hgpt.solution import LevelSet, TreeSolution
@@ -114,7 +110,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DPConfig:
-    """Knobs of the bounded, tiled, subtree-parallel merge kernel.
+    """Knobs of the bounded, tiled merge kernel.
 
     Every combination returns the same solution *costs* as the
     exhaustive merge; the knobs trade memory and wall-clock, never
@@ -134,18 +130,6 @@ class DPConfig:
         and states whose cost plus the admissible outside-subtree lower
         bound exceeds it are dropped before they enter a cross-product.
         Ignored under a beam (see the module docstring).
-    parallel_subtrees:
-        Farm independent subtrees across the persistent
-        :mod:`repro.core.pool` workers and merge only the spine in the
-        parent.  Automatically disabled inside pool workers (no nested
-        pools) and on trees smaller than :attr:`parallel_min_nodes`.
-    parallel_workers:
-        Worker processes for subtree farming (``0`` = ``min(cpu, 8)``).
-    parallel_threshold:
-        Largest farmed subtree, in binary-tree nodes (``0`` = auto:
-        ``max(16, n_nodes // (2 × workers))``).
-    parallel_min_nodes:
-        Smallest tree worth farming at all.
     incumbent_beam:
         Beam width of the bound-seeding pre-pass.  Wider beams cost
         more up front but tighten the incumbent; 256 is the sweet spot
@@ -155,10 +139,6 @@ class DPConfig:
 
     tile_size: int = 1 << 18
     bound_pruning: bool = True
-    parallel_subtrees: bool = False
-    parallel_workers: int = 0
-    parallel_threshold: int = 0
-    parallel_min_nodes: int = 64
     incumbent_beam: int = 256
 
     def __post_init__(self) -> None:
@@ -166,31 +146,14 @@ class DPConfig:
             raise InvalidInputError(
                 f"tile_size must be >= 0, got {self.tile_size}"
             )
-        if self.parallel_workers < 0:
-            raise InvalidInputError(
-                f"parallel_workers must be >= 0, got {self.parallel_workers}"
-            )
-        if self.parallel_threshold < 0:
-            raise InvalidInputError(
-                f"parallel_threshold must be >= 0, got {self.parallel_threshold}"
-            )
-        if self.parallel_min_nodes < 1:
-            raise InvalidInputError(
-                f"parallel_min_nodes must be >= 1, got {self.parallel_min_nodes}"
-            )
         if self.incumbent_beam < 1:
             raise InvalidInputError(
                 f"incumbent_beam must be >= 1, got {self.incumbent_beam}"
             )
 
 
-#: Module default: tiling + bound pruning on, subtree farming opt-in.
+#: Module default: tiling + bound pruning on.
 _DEFAULT_CONFIG = DPConfig()
-
-#: Kernel-off reference configuration (the pre-kernel merge semantics).
-_LEGACY_CONFIG = DPConfig(
-    tile_size=0, bound_pruning=False, parallel_subtrees=False
-)
 
 
 #: Hoisted metric-family handles (lazy — the registry may be reset or
@@ -389,9 +352,7 @@ class SubtreeMemo:
     *context-free* passes may memoise — exact solves with
     incumbent-bound pruning shape tables by the global incumbent and
     outside-subtree lower bounds, so :func:`solve_rhgpt` drops the memo
-    in that mode (see the gating there).  The kernel backend is
-    deliberately excluded from the token: backends are bit-identical by
-    the PR 8 equivalence contract, so tables interchange freely.
+    in that mode (see the gating there).
     """
 
     KIND = "subtree_tables"
@@ -547,6 +508,109 @@ def _project(
     return uniq, min_costs, porig[winners], pj[winners]
 
 
+#: Candidate rows per vectorised dominance block (h >= 3 scan).
+_DOM_BLOCK = 256
+
+
+def _dominance_scan(
+    sigs: np.ndarray,
+    costs: np.ndarray,
+    order: np.ndarray,
+    beam: Optional[int],
+) -> Tuple[np.ndarray, bool]:
+    """Dominance scan over ``order``-sorted states (``beam=None`` = no
+    beam).  Returns kept row indices (scan order) and whether the beam
+    fired.
+
+    A state survives unless a previously kept signature is ≤ it
+    componentwise.  Because survivors are scanned cheapest-first, the
+    kept signatures form an antichain — for ``h ≤ 2`` that is a monotone
+    staircase, so dominance queries become binary searches (O(m log m)
+    total) instead of the generic O(m · kept) scan.  For ``h ≥ 3`` the
+    scan is blocked: a whole block is checked against every previously
+    kept signature in one vectorised comparison, and only rows that
+    survive it (final survivors plus rows dominated solely inside their
+    own block — transitivity guarantees nothing else slips through)
+    reach the sequential pass, which then compares against block-local
+    keeps only.
+    """
+    m = costs.size
+    h = sigs.shape[1]
+    kept_idx: List[int] = []
+    truncated = False
+    if h == 1:
+        # Survivor iff its signature is a new minimum.
+        best = np.iinfo(np.int64).max
+        for pos in order:
+            s = int(sigs[pos, 0])
+            if s >= best:
+                continue
+            best = s
+            kept_idx.append(int(pos))
+            if beam is not None and len(kept_idx) >= beam:
+                truncated = True
+                break
+    elif h == 2:
+        # Maintain the Pareto frontier of kept signatures as a staircase
+        # (xs strictly increasing, ys strictly decreasing): (a, b) is
+        # dominated iff the frontier point with the largest x <= a has
+        # y <= b.  Kept states themselves need not be an antichain (a
+        # later, more expensive state may be componentwise smaller), so
+        # insertion evicts frontier points the new signature covers.
+        xs: List[int] = []
+        ys: List[int] = []
+        for pos in order:
+            a, b = int(sigs[pos, 0]), int(sigs[pos, 1])
+            k = bisect.bisect_right(xs, a)
+            if k > 0 and ys[k - 1] <= b:
+                continue
+            # Evict frontier points (x >= a, y >= b): anything they would
+            # dominate in the future, (a, b) dominates too.
+            end = k
+            while end < len(xs) and ys[end] >= b:
+                end += 1
+            del xs[k:end]
+            del ys[k:end]
+            xs.insert(k, a)
+            ys.insert(k, b)
+            kept_idx.append(int(pos))
+            if beam is not None and len(kept_idx) >= beam:
+                truncated = True
+                break
+    else:
+        sorted_sigs = sigs[order]
+        kept_rows = np.empty((m, h), dtype=sigs.dtype)
+        n_kept = 0
+        for s in range(0, m, _DOM_BLOCK):
+            block = sorted_sigs[s:s + _DOM_BLOCK]
+            if n_kept:
+                # One comparison of the whole block against every kept
+                # signature; (h, kept, block) accumulation keeps the
+                # temporary two-dimensional.
+                dom = np.ones((n_kept, block.shape[0]), dtype=bool)
+                for i in range(h):
+                    dom &= kept_rows[:n_kept, i, None] <= block[None, :, i]
+                survivors = np.nonzero(~dom.any(axis=0))[0]
+            else:
+                survivors = np.arange(block.shape[0])
+            block_start = n_kept
+            for t in survivors:
+                sig = block[t]
+                if n_kept > block_start and bool(
+                    np.all(kept_rows[block_start:n_kept] <= sig, axis=1).any()
+                ):
+                    continue
+                kept_rows[n_kept] = sig
+                kept_idx.append(int(order[s + t]))
+                n_kept += 1
+                if beam is not None and n_kept >= beam:
+                    truncated = True
+                    break
+            if truncated:
+                break
+    return np.asarray(kept_idx, dtype=np.int64), truncated
+
+
 def _dominance_prune(
     sigs: np.ndarray,
     costs: np.ndarray,
@@ -555,22 +619,17 @@ def _dominance_prune(
     """Indices of surviving states (dominance + optional beam).
 
     States are scanned in ascending (cost, signature) order; a state
-    survives unless a previously kept signature is ≤ it componentwise.
-    The scan itself is the ``dp_dominance_prune`` kernel dispatched
-    through :mod:`repro.kernels` (the python backend keeps the original
-    staircase / blocked specialisations, the numba backend JIT-compiles
-    an equivalent sequential scan — identical kept sets by construction).
-    Under beam truncation the most-closed state (minimal component sum)
-    is always re-inserted — see the module docstring.
+    survives unless a previously kept signature is ≤ it componentwise
+    (:func:`_dominance_scan`).  Under beam truncation the most-closed
+    state (minimal component sum) is always re-inserted — see the module
+    docstring.
     """
     m = costs.size
     h = sigs.shape[1]
     if m <= 1:
         return np.arange(m, dtype=np.int64)
     order = np.lexsort(tuple(sigs[:, i] for i in range(h - 1, -1, -1)) + (costs,))
-    kept_idx, truncated = kernels.dp_dominance_prune(
-        sigs, costs, order, -1 if beam_width is None else int(beam_width)
-    )
+    kept_idx, truncated = _dominance_scan(sigs, costs, order, beam_width)
     if truncated:
         sums = sigs.sum(axis=1)
         flex = int(
@@ -658,6 +717,50 @@ def compute_lower_bounds(
 _MERGE_CHUNK = 4_000_000
 
 
+def _tile_merge(
+    pa_sig: np.ndarray,
+    pa_cost: np.ndarray,
+    pb_sig: np.ndarray,
+    pb_cost: np.ndarray,
+    caps: np.ndarray,
+    start: int,
+    stop: int,
+    budget: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """One merge tile over cross-product ranks ``[start, stop)``.
+
+    Returns ``(sums, costs, ii, jj, rank, n_ok)`` — the capacity-feasible
+    pairs (in ascending rank order) and the count of pairs that survived
+    the ``budget`` mask (feasible or not), for the caller's pruning
+    stats.
+    """
+    nb = pb_cost.size
+    idx = np.arange(start, stop, dtype=np.int64)
+    ii = idx // nb
+    jj = idx - ii * nb
+    costs = pa_cost[ii] + pb_cost[jj]
+    if budget < math.inf:
+        ok = costs <= budget
+        n_ok = int(np.count_nonzero(ok))
+        if n_ok < idx.size:
+            ii, jj, costs, idx = ii[ok], jj[ok], costs[ok], idx[ok]
+    else:
+        n_ok = int(idx.size)
+    if n_ok == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return (
+            np.empty((0, caps.size), dtype=pa_sig.dtype),
+            np.empty(0, dtype=np.float64),
+            empty,
+            empty,
+            empty.copy(),
+            0,
+        )
+    sums = pa_sig[ii] + pb_sig[jj]
+    feas = (sums <= caps).all(axis=1)
+    return sums[feas], costs[feas], ii[feas], jj[feas], idx[feas], n_ok
+
+
 def _merge_node(
     pa: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     pb: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
@@ -726,12 +829,12 @@ def _merge_node(
         pending = 0
 
     # Transient per-row tile footprint: int64 sig row + float64 cost +
-    # three int64 index columns (what the pre-seam loop materialised).
+    # three int64 index columns.
     row_bytes = 8 * h + 32
     for start in range(0, total, tile):
         stats.tiles += 1
         stop = min(total, start + tile)
-        sums, costs_t, ii, jj, rank, n_ok = kernels.dp_tile_merge(
+        sums, costs_t, ii, jj, rank, n_ok = _tile_merge(
             pa_sig, pa_cost, pb_sig, pb_cost, caps_arr, start, stop, budget
         )
         stats.bound_pruned += (stop - start) - n_ok
@@ -765,7 +868,7 @@ def _merge_node(
 
 
 # ----------------------------------------------------------------------
-# table construction (shared by serial solves, spines, and pool workers)
+# table construction
 # ----------------------------------------------------------------------
 
 
@@ -776,17 +879,11 @@ def _solve_tables(
     beam_width: Optional[int],
     cfg: DPConfig,
     stats: "DPStats",
-    nodes: np.ndarray,
-    tables: List[Optional[_Table]],
     incumbent: float = math.inf,
     outside_lb: Optional[np.ndarray] = None,
     memo: Optional["SubtreeMemo"] = None,
-) -> None:
-    """Fill ``tables`` for ``nodes`` (a children-before-parents order).
-
-    ``tables`` entries for the children of every processed internal node
-    must already be present (leaves are built on the fly), so the same
-    routine serves whole trees, farmed subtrees, and the parent spine.
+) -> List[Optional[_Table]]:
+    """Build the state table of every node of ``bt``, children first.
 
     When ``memo`` is given, every internal node first probes the
     ``subtree_tables`` tier; hits skip the projection/merge work
@@ -800,7 +897,8 @@ def _solve_tables(
     caps_min = int(caps_arr.min())
     neg1 = np.full(1, -1, dtype=np.int64)
     use_memo = memo is not None and incumbent == math.inf
-    for node in nodes:
+    tables: List[Optional[_Table]] = [None] * bt.n_nodes
+    for node in bt.postorder():
         if bt.is_leaf(node):
             d = int(bt.demand[node])
             if d > caps_min:
@@ -846,163 +944,7 @@ def _solve_tables(
         size = tables[node].size  # type: ignore[union-attr]
         stats.states_total += size
         stats.states_max = max(stats.states_max, size)
-
-
-# ----------------------------------------------------------------------
-# subtree parallelism
-# ----------------------------------------------------------------------
-
-
-def _partition_subtrees(
-    bt: BinaryTree, max_nodes: int, min_nodes: int = 8
-) -> List[int]:
-    """Roots of disjoint subtrees with ``min_nodes <= size <= max_nodes``.
-
-    Walks down from the root, splitting any subtree above ``max_nodes``;
-    subtrees below ``min_nodes`` are left to the spine (not worth a
-    process hop).  The returned roots never include the tree root.
-    """
-    size = bt.subtree_sizes()
-    roots: List[int] = []
-    stack = [int(bt.left[bt.root]), int(bt.right[bt.root])] \
-        if not bt.is_leaf(bt.root) else []
-    while stack:
-        v = stack.pop()
-        if size[v] > max_nodes:
-            if not bt.is_leaf(v):
-                stack.append(int(bt.left[v]))
-                stack.append(int(bt.right[v]))
-            continue
-        if size[v] >= min_nodes:
-            roots.append(v)
-    return sorted(roots)
-
-
-def solve_subtree_tables(payload: Dict[str, object], root: int) -> dict:
-    """Pool-worker entry: build one farmed subtree's state tables.
-
-    ``payload`` is the generation dict published by
-    :func:`_solve_parallel` (tree, caps, deltas, beam, config, incumbent
-    and outside lower bounds).  Returns the subtree's tables as plain
-    arrays plus the worker-side counters, all picklable.
-    """
-    bt: BinaryTree = payload["bt"]  # type: ignore[assignment]
-    caps_arr = np.asarray(payload["caps"], dtype=np.int64)
-    deltas_arr = np.asarray(payload["deltas"], dtype=np.float64)
-    cfg: DPConfig = payload["cfg"]  # type: ignore[assignment]
-    stats = DPStats()
-    tables: List[Optional[_Table]] = [None] * bt.n_nodes
-    nodes = bt.subtree_postorder(root)
-    # Workers inherit the parent's resolved kernel backend by name so
-    # farmed subtrees dispatch exactly like the spine.
-    with kernels.use_backend(str(payload.get("kernel_backend", "auto"))):
-        _solve_tables(
-            bt,
-            caps_arr,
-            deltas_arr,
-            payload["beam_width"],  # type: ignore[arg-type]
-            cfg,
-            stats,
-            nodes,
-            tables,
-            incumbent=float(payload["incumbent"]),  # type: ignore[arg-type]
-            outside_lb=payload["outside_lb"],  # type: ignore[arg-type]
-        )
-    return {
-        "root": root,
-        "tables": {
-            int(v): tables[v] for v in nodes if tables[v] is not None
-        },
-        "stats": stats.as_dict(),
-    }
-
-
-def _solve_parallel(
-    bt: BinaryTree,
-    caps_arr: np.ndarray,
-    deltas_arr: np.ndarray,
-    beam_width: Optional[int],
-    cfg: DPConfig,
-    stats: "DPStats",
-    tables: List[Optional[_Table]],
-    incumbent: float,
-    outside_lb: Optional[np.ndarray],
-) -> bool:
-    """Farm independent subtrees to the pool; solve the spine here.
-
-    Returns ``False`` (caller falls back to the serial pass) when the
-    tree partitions into fewer than two farmable subtrees or this
-    process is itself a pool worker.
-    """
-    from repro.core import pool as worker_pool
-
-    if worker_pool.in_worker():
-        return False
-    workers = cfg.parallel_workers or min(os.cpu_count() or 1, 8)
-    if workers < 2:
-        return False
-    max_nodes = cfg.parallel_threshold or max(16, bt.n_nodes // (2 * workers))
-    roots = _partition_subtrees(bt, max_nodes)
-    if len(roots) < 2:
-        return False
-
-    executor = worker_pool.get_pool(min(workers, len(roots)))
-    ref = worker_pool.publish_generation(
-        {
-            "bt": bt,
-            "caps": caps_arr,
-            "deltas": deltas_arr,
-            "beam_width": beam_width,
-            "cfg": cfg,
-            "incumbent": incumbent,
-            "outside_lb": outside_lb,
-            "kernel_backend": kernels.get_backend().name,
-        }
-    )
-    try:
-        jobs = [(ref, r) for r in roots]
-        results = list(executor.map(worker_pool.dp_subtree_job, jobs))
-    finally:
-        worker_pool.release_generation(ref)
-
-    covered = np.zeros(bt.n_nodes, dtype=bool)
-    for result in results:
-        sub_stats = result["stats"]
-        stats.nodes += sub_stats["nodes"]
-        stats.states_total += sub_stats["states_total"]
-        stats.states_max = max(stats.states_max, sub_stats["states_max"])
-        stats.merges += sub_stats["merges"]
-        stats.tiles += sub_stats["tiles"]
-        stats.bound_pruned += sub_stats["bound_pruned"]
-        stats.table_peak_bytes = max(
-            stats.table_peak_bytes, sub_stats["table_peak_bytes"]
-        )
-        stats.memo_hits += sub_stats.get("memo_hits", 0)
-        stats.memo_misses += sub_stats.get("memo_misses", 0)
-        for node, table in result["tables"].items():
-            tables[node] = table
-            covered[node] = True
-    get_registry().counter(
-        "repro_dp_parallel_subtrees_total",
-        "Subtrees farmed to pool workers by the DP kernel",
-    ).inc(len(roots))
-
-    spine = np.asarray(
-        [v for v in bt.postorder() if not covered[v]], dtype=np.int64
-    )
-    _solve_tables(
-        bt,
-        caps_arr,
-        deltas_arr,
-        beam_width,
-        cfg,
-        stats,
-        spine,
-        tables,
-        incumbent=incumbent,
-        outside_lb=outside_lb,
-    )
-    return True
+    return tables
 
 
 # ----------------------------------------------------------------------
@@ -1081,23 +1023,19 @@ def solve_rhgpt(
     incumbent = math.inf
     outside_lb: Optional[np.ndarray] = None
     if cfg.bound_pruning and beam_width is None:
-        pre_tables: List[Optional[_Table]] = [None] * bt.n_nodes
         pre_cfg = DPConfig(
             tile_size=cfg.tile_size,
             bound_pruning=False,
-            parallel_subtrees=False,
             incumbent_beam=cfg.incumbent_beam,
         )
         try:
-            _solve_tables(
+            pre_tables = _solve_tables(
                 bt,
                 caps_arr,
                 deltas_arr,
                 cfg.incumbent_beam,
                 pre_cfg,
                 DPStats(),  # pre-pass work is not the caller's solve
-                bt.postorder(),
-                pre_tables,
             )
             pre_root = pre_tables[bt.root]
             assert pre_root is not None
@@ -1119,36 +1057,17 @@ def solve_rhgpt(
     ):
         active_memo = None
 
-    tables: List[Optional[_Table]] = [None] * bt.n_nodes
-    solved = False
-    if cfg.parallel_subtrees and bt.n_nodes >= cfg.parallel_min_nodes:
-        # Farmed subtrees fill worker-local caches, not this process's;
-        # the memo only drives the serial path.
-        solved = _solve_parallel(
-            bt,
-            caps_arr,
-            deltas_arr,
-            beam_width,
-            cfg,
-            own_stats,
-            tables,
-            incumbent,
-            outside_lb,
-        )
-    if not solved:
-        _solve_tables(
-            bt,
-            caps_arr,
-            deltas_arr,
-            beam_width,
-            cfg,
-            own_stats,
-            bt.postorder(),
-            tables,
-            incumbent=incumbent,
-            outside_lb=outside_lb,
-            memo=active_memo,
-        )
+    tables = _solve_tables(
+        bt,
+        caps_arr,
+        deltas_arr,
+        beam_width,
+        cfg,
+        own_stats,
+        incumbent=incumbent,
+        outside_lb=outside_lb,
+        memo=active_memo,
+    )
 
     root_table = tables[bt.root]
     assert root_table is not None

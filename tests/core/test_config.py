@@ -58,7 +58,6 @@ class TestDPConfigField:
         cfg = SolverConfig()
         assert cfg.dp.tile_size > 0
         assert cfg.dp.bound_pruning is True
-        assert cfg.dp.parallel_subtrees is False
 
     def test_custom_dp_config(self):
         from repro.hgpt.dp import DPConfig
@@ -71,4 +70,3 @@ class TestDPConfigField:
         desc = SolverConfig().describe()
         assert desc["dp"]["tile_size"] == SolverConfig().dp.tile_size
         assert "bound_pruning" in desc["dp"]
-        assert "parallel_subtrees" in desc["dp"]

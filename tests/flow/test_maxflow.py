@@ -1,5 +1,7 @@
 """Tests for the Dinic max-flow engine."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,38 @@ class TestFlowEqualsMinCut:
         value, side = max_flow(g, s, t)
         assert side[s] and not side[t]
         assert g.cut_weight(side) == pytest.approx(value, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_mixed_networks_match_brute_force_cut(self, seed):
+        """Small networks mixing directed and undirected arcs, with
+        parallel and antiparallel pairs: the flow value equals the
+        cheapest s-t cut over every vertex subset (reverse arcs with
+        residual capacity are what later Dinic phases traverse)."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        eng = DinicMaxFlow(n)
+        arcs = []
+        for _ in range(int(rng.integers(1, 18))):
+            u = int(rng.integers(0, n))
+            v = int(rng.integers(0, n))
+            if u == v:
+                v = (u + 1) % n
+            c = float(rng.integers(1, 9))
+            directed = bool(rng.random() < 0.5)
+            eng.add_edge(u, v, c, directed=directed)
+            arcs.append((u, v, c))
+            if not directed:
+                arcs.append((v, u, c))
+        s, t = 0, n - 1
+        best = min(
+            sum(c for u, v, c in arcs if side[u] and not side[v])
+            for bits in itertools.product((False, True), repeat=n - 2)
+            for side in [(True,) + bits + (False,)]
+        )
+        assert eng.solve(s, t) == best
+        side = eng.min_cut_side(s)
+        assert side[s] and not side[t]
+        assert sum(c for u, v, c in arcs if side[u] and not side[v]) == best
 
     def test_flow_upper_bounded_by_any_cut(self):
         g = grid_2d(3, 5, weight_range=(1.0, 2.0), seed=7)

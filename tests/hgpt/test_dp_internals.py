@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hgpt.dp import _dedupe_min, _dominance_prune, _encode_rows, _project, _Table
+from repro.hgpt.dp import (
+    _dedupe_min,
+    _dominance_prune,
+    _dominance_scan,
+    _encode_rows,
+    _project,
+    _Table,
+    _tile_merge,
+)
 
 
 def naive_dedupe(sigs, costs):
@@ -21,6 +29,15 @@ def naive_dedupe(sigs, costs):
         if key not in best or costs[i] < costs[best[key]]:
             best[key] = i
     return best
+
+
+def naive_scan(sigs, order):
+    """Reference dominance scan: keep a row unless a kept row is <= it."""
+    kept = []
+    for i in order:
+        if not any(np.all(sigs[j] <= sigs[i]) for j in kept):
+            kept.append(int(i))
+    return kept
 
 
 def naive_prune(sigs, costs):
@@ -140,6 +157,82 @@ class TestDominancePrune:
         costs = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
         kept = _dominance_prune(sigs, costs, beam_width=2)
         assert 2 <= len(kept) <= 3
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=80, deadline=None)
+    def test_scan_with_beam_is_prefix_of_naive_scan(self, seed):
+        """Every specialisation (h=1 minimum, h=2 staircase, blocked
+        h>=3) keeps exactly the naive scan's survivors in scan order,
+        and a beam keeps their first ``beam`` and reports truncation.
+        Tables up to 600 rows span several h>=3 scan blocks."""
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 45)) if rng.random() < 0.8 else int(rng.integers(300, 600))
+        h = int(rng.integers(1, 5))
+        sigs = rng.integers(0, 6, size=(m, h)).astype(np.int64)
+        # Integer costs produce ties, exercising scan-order stability.
+        costs = rng.integers(0, 8, size=m).astype(np.float64)
+        order = np.lexsort(
+            tuple(sigs[:, i] for i in range(h - 1, -1, -1)) + (costs,)
+        )
+        beam = None if rng.random() < 0.5 else int(rng.integers(1, 6))
+        kept, truncated = _dominance_scan(sigs, costs, order, beam)
+        ref = naive_scan(sigs, order)
+        if beam is None:
+            assert kept.tolist() == ref
+            assert truncated is False
+        else:
+            assert kept.tolist() == ref[:beam]
+            assert truncated == (len(ref) >= beam)
+
+
+class TestTileMerge:
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_naive_pair_loop(self, seed):
+        """One tile of ranks ``[start, stop)`` keeps the within-budget,
+        capacity-feasible pairs in rank order and counts the pairs that
+        passed the budget; budgets below every pair cost (``n_ok == 0``)
+        and empty tiles return empty, correctly shaped arrays."""
+        rng = np.random.default_rng(seed)
+        h = int(rng.integers(1, 4))
+        na, nb = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        pa_sig = rng.integers(0, 6, size=(na, h)).astype(np.int64)
+        pb_sig = rng.integers(0, 6, size=(nb, h)).astype(np.int64)
+        pa_cost = rng.uniform(0.0, 10.0, size=na)
+        pb_cost = rng.uniform(0.0, 10.0, size=nb)
+        caps = rng.integers(2, 9, size=h).astype(np.int64)
+        budget = float("inf") if rng.random() < 0.5 else float(rng.uniform(0.0, 15.0))
+        start = int(rng.integers(0, na * nb))
+        stop = int(rng.integers(start, na * nb + 1))
+        sums, costs, ii, jj, rank, n_ok = _tile_merge(
+            pa_sig, pa_cost, pb_sig, pb_cost, caps, start, stop, budget
+        )
+        want, want_ok = [], 0
+        for r in range(start, stop):
+            i, j = divmod(r, nb)
+            cost = pa_cost[i] + pb_cost[j]
+            if cost > budget:
+                continue
+            want_ok += 1
+            if np.all(pa_sig[i] + pb_sig[j] <= caps):
+                want.append((r, i, j, cost))
+        assert n_ok == want_ok
+        assert sums.shape == (len(want), h)
+        assert rank.tolist() == [w[0] for w in want]
+        assert ii.tolist() == [w[1] for w in want]
+        assert jj.tolist() == [w[2] for w in want]
+        assert costs.tolist() == [w[3] for w in want]
+        assert np.array_equal(sums, pa_sig[ii] + pb_sig[jj])
+
+    def test_budget_below_every_pair_is_empty(self):
+        sig = np.array([[1, 1]], dtype=np.int64)
+        out = _tile_merge(
+            sig, np.array([2.0]), sig, np.array([3.0]),
+            np.array([4, 4], dtype=np.int64), 0, 1, 1.0,
+        )
+        assert out[5] == 0
+        assert out[0].shape == (0, 2)
+        assert all(arr.size == 0 for arr in out[1:5])
 
 
 class TestProject:

@@ -9,6 +9,13 @@ placements.  They were recorded before the embed-stage kernels
 cost rows were rewritten; those rewrites promise bit-identical results,
 so any change here is output drift, not noise.  Costs are stored as
 ``float.hex`` so the comparison is exact.
+
+A solve key ``"family:variant"`` runs one of :data:`VARIANTS` instead of
+the default config, each pinning a path with its own hot loop:
+Gomory–Hu trees (Dinic level BFS and blocking flow), an h=3 hierarchy
+(the blocked dominance scan) and a forced multilevel solve (heavy-edge
+matching; on a star also the two-hop stall escape).  These were recorded
+before the hot loops moved out of the kernel backend registry.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ from repro import SolverConfig, solve_hgp
 from repro.baselines.local_search import refine_placement
 from repro.baselines.random_placement import random_placement
 from repro.cache import reset_cache
+from repro.core.config import MultilevelConfig
+from repro.graph.graph import Graph
 from repro.graph.generators import (
     grid_2d,
     planted_partition,
@@ -32,9 +41,24 @@ from repro.graph.generators import (
 from repro.hierarchy.hierarchy import Hierarchy
 
 
+VARIANTS = {
+    "gomory_hu": SolverConfig(tree_methods=("gomory_hu",)),
+    "h3": SolverConfig(),
+    "multilevel": SolverConfig(
+        multilevel=MultilevelConfig(enabled=True, coarsen_to=16)
+    ),
+}
+
+
 def _instance(family: str, n: int, seed: int):
-    hier = Hierarchy([2, 8], [10.0, 3.0, 0.0])
-    if family == "planted":
+    family, _, variant = family.partition(":")
+    if variant == "h3":
+        hier = Hierarchy([2, 2, 2], [8.0, 4.0, 1.0, 0.0])
+    else:
+        hier = Hierarchy([2, 8], [10.0, 3.0, 0.0])
+    if family == "star":
+        g = Graph(n, [(0, i, 1.0) for i in range(1, n)])
+    elif family == "planted":
         g = planted_partition(16, n // 16, 0.5, 0.02, seed=seed)
     elif family == "grid":
         rows = int(math.sqrt(n / 2))
@@ -83,6 +107,34 @@ SOLVE_GOLDEN = {
         "0x1.9dae2d4d7d407p+12",
         "844f3d882fde51dc154a64f445d9f4b8ceffb8b2f473c93707d1e7c3eb5b97be",
     ),
+    ("planted:gomory_hu", 64): (
+        "0x1.8c00000000000p+7",
+        "e81ef4db2e03bf839e057eb10635fe99f77adf8dbff9c761bb86e1a55e3392c1",
+    ),
+    ("grid:gomory_hu", 64): (
+        "0x1.933792b76d05ep+9",
+        "4b361f6dde6b61259787f70d9788ac4414d314246a6f0bab88f0df650903c03a",
+    ),
+    ("planted:h3", 64): (
+        "0x1.c000000000000p+6",
+        "541cb9fe4c4f21e8aad6321a0cc8ee8f8f0065aa6ec6d1ef3d55f440cfd83067",
+    ),
+    ("geo:h3", 64): (
+        "0x1.2846804c14d62p+10",
+        "c023dab770650724d9715fb40d580ab16dccfa36d2a8d0ebdb163417021f036d",
+    ),
+    ("grid:multilevel", 256): (
+        "0x1.820c087bf8eb2p+10",
+        "5d35bdd81a86703ee4118dcf44b086d9f30140ff11c463883e628e68f934971b",
+    ),
+    ("planted:multilevel", 256): (
+        "0x1.7b00000000000p+11",
+        "cbc156964f85684b133e11ac8409e6e2e50bd1e4cda9c9f886216b29f84b0e31",
+    ),
+    ("star:multilevel", 129): (
+        "0x1.c600000000000p+8",
+        "f0c8a705daaf48938fe337f1c5f4c9402cf07f1fb4171b6f9834eb3020dd77df",
+    ),
 }
 
 REFINE_GOLDEN = {
@@ -117,7 +169,8 @@ REFINE_GOLDEN = {
 def test_cold_default_solve_is_bit_identical(family, n):
     reset_cache()
     g, hier, d = _instance(family, n, 5)
-    res = solve_hgp(g, hier, d, SolverConfig())
+    variant = family.partition(":")[2]
+    res = solve_hgp(g, hier, d, VARIANTS.get(variant, SolverConfig()))
     assert (float(res.cost).hex(), _digest(res.placement.leaf_of)) == SOLVE_GOLDEN[
         (family, n)
     ]

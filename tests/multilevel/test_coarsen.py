@@ -93,6 +93,21 @@ class TestMatchingValidity:
             if p >= 0:
                 assert d[v] + d[p] <= cap * (1 + 1e-6)
 
+    @pytest.mark.parametrize("rounds", [1, 2, 8])
+    def test_isolated_vertices_and_round_budget(self, rounds):
+        # Vertices 0, 4 and 8 are isolated: empty CSR segments first, in
+        # the middle and last.  Round 1 matches the two heavy pairs;
+        # round 2 pairs 3 with 5, whose heavier neighbours are taken.
+        g = Graph(
+            9,
+            [(1, 2, 5.0), (2, 3, 1.0), (3, 5, 0.5), (5, 6, 1.0), (6, 7, 5.0)],
+        )
+        match = heavy_edge_matching(g, ensure_rng(0), rounds=rounds)
+        want = [-1, 2, 1, -1, -1, -1, 7, 6, -1]
+        if rounds > 1:
+            want[3], want[5] = 5, 3
+        assert match.tolist() == want
+
     def test_labels_cover_pairs(self):
         match = np.asarray([1, 0, -1, 4, 3], dtype=np.int64)
         labels = matching_labels(match)
