@@ -195,6 +195,50 @@ def eq1_cost(g: Graph, hierarchy: Hierarchy, leaf_of: np.ndarray) -> float:
     return float(np.dot(np.asarray(mult, dtype=np.float64), g.edges_w))
 
 
+def _connection_tables(
+    hierarchy: Hierarchy,
+    levels: list,
+    owner: np.ndarray,
+    nbr_leaf: np.ndarray,
+    wts: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, dict, dict]:
+    """Per-level connection tables of one :func:`fm_refine_hierarchy` pass.
+
+    ``owner``, ``nbr_leaf`` and ``wts`` are per CSR entry (vertex-major).
+    Returns the distinct ``(vertex, neighbour leaf)`` pairs as two arrays
+    in key order (key ``v·k + leaf``) and, per level ``j`` in ``levels``,
+    the sorted unique keys ``v·count(j) + t`` and ``C_vj(t)``, the summed
+    weight ``v`` sends under level-``j`` node ``t``.
+
+    One argsort of the leaf keys serves every level: a level's keys are
+    a monotone relabel of the unique leaf keys, so its groups follow by a
+    diff mask.  The keys are nearly sorted already (the CSR is
+    vertex-major), where the stable sort runs about 5× faster than the
+    default one.  Each ``C_vj(t)`` is a ``np.bincount`` over the entries
+    in CSR order, so every sum runs in CSR entry order.
+    """
+    k = hierarchy.k
+    widths = hierarchy._suffix_prod
+    ckey = owner * k + nbr_leaf
+    order = np.argsort(ckey, kind="stable")
+    sk = ckey[order]
+    new_key = np.ones(sk.size, dtype=bool)
+    new_key[1:] = sk[1:] != sk[:-1]
+    uc = sk[new_key]
+    leaf_inv = np.empty(sk.size, dtype=np.int64)
+    leaf_inv[order] = np.cumsum(new_key) - 1
+    uc_v, uc_leaf = uc // k, uc % k
+    conn_keys, conn_vals = {}, {}
+    for j in levels:
+        key = uc_v * hierarchy.count(j) + uc_leaf // widths[j]
+        new_grp = np.ones(key.size, dtype=bool)
+        new_grp[1:] = key[1:] != key[:-1]
+        conn_keys[j] = key[new_grp]
+        grp = np.cumsum(new_grp) - 1
+        conn_vals[j] = np.bincount(grp[leaf_inv], weights=wts)
+    return uc_v, uc_leaf, conn_keys, conn_vals
+
+
 def fm_refine_hierarchy(
     g: Graph,
     hierarchy: Hierarchy,
@@ -212,7 +256,9 @@ def fm_refine_hierarchy(
     1. **Connection tables** — for every hierarchy level ``j``, group-sum
        the CSR adjacency by ``(vertex, level-j ancestor of the
        neighbour's leaf)``; entry ``C_vj(t)`` is how much weight ``v``
-       sends under H-node ``t``.
+       sends under H-node ``t``.  One stable argsort of the leaf-level
+       keys ``v·k + leaf`` serves every level, and each ``C_vj(t)`` is
+       summed in CSR entry order (:func:`_connection_tables`).
     2. **Gains** — candidate targets are the distinct neighbour leaves of
        each vertex.  Writing ``cm`` via its level deltas
        ``δ_j = cm(j−1) − cm(j)``, moving ``v`` from leaf ``L`` to ``L'``
@@ -224,8 +270,9 @@ def fm_refine_hierarchy(
        budget of every hierarchy node it enters (``load_limit ×
        capacity``; the default budget tolerates the incoming placement's
        own violation but never worsens it).
-    4. **Rollback** — the cost after each pass is measured exactly; the
-       best labelling seen is returned, so refinement is monotone.
+    4. **Rollback** — the cost after each pass is measured exactly (one
+       Eq. (1) evaluation per pass that moves, plus one for the input);
+       the best labelling seen is returned, so refinement is monotone.
 
     Parameters
     ----------
@@ -270,7 +317,6 @@ def fm_refine_hierarchy(
     owner = np.repeat(np.arange(n, dtype=np.int64), deg)
     nbr = g.indices
     wts = g.adj_weights
-    k = hierarchy.k
 
     def level_loads(j: int) -> np.ndarray:
         loads = np.zeros(hierarchy.count(j))
@@ -293,25 +339,18 @@ def fm_refine_hierarchy(
     start_cost = eq1_cost(g, hierarchy, leaf_of)
     best_cost = start_cost
     best_leaf = leaf_of.copy()
+    cost = start_cost
 
     for _ in range(max_passes):
         stats.passes += 1
-        nbr_leaf = leaf_of[nbr]
-        # (1) connection tables, one sorted group-by per level.
-        conn_keys, conn_vals = {}, {}
-        for j in levels:
-            key = owner * hierarchy.count(j) + nbr_leaf // widths[j]
-            uk, inv = np.unique(key, return_inverse=True)
-            conn_keys[j] = uk
-            conn_vals[j] = np.bincount(inv, weights=wts)
+        # (1) connection tables.
+        uc_v, uc_leaf, conn_keys, conn_vals = _connection_tables(
+            hierarchy, levels, owner, leaf_of[nbr], wts
+        )
 
         # (2) candidate (vertex, neighbour-leaf) pairs + batched gains.
-        ckey = owner * k + nbr_leaf
-        uc = np.unique(ckey)
-        cand_v = uc // k
-        cand_leaf = uc % k
-        keep = cand_leaf != leaf_of[cand_v]
-        cand_v, cand_leaf = cand_v[keep], cand_leaf[keep]
+        keep = uc_leaf != leaf_of[uc_v]
+        cand_v, cand_leaf = uc_v[keep], uc_leaf[keep]
         if cand_v.size == 0:
             break
         gains = np.zeros(cand_v.size)
@@ -380,8 +419,9 @@ def fm_refine_hierarchy(
             best_cost = cost
             best_leaf = leaf_of.copy()
 
-    final_cost = eq1_cost(g, hierarchy, leaf_of)
-    if final_cost > best_cost + 1e-12:
+    # ``cost`` is the cost of ``leaf_of`` as it stands: a pass that
+    # breaks early has not touched it.
+    if cost > best_cost + 1e-12:
         leaf_of = best_leaf
         stats.rolled_back = True
     stats.gain = start_cost - best_cost

@@ -20,8 +20,10 @@ to quantize/DP:
   ``None`` (fresh OS entropy) and live ``Generator`` objects (consuming
   stream state), in which case callers bypass the cache.
 * **Memory tier** — a thread-safe LRU bounded by a byte budget
-  (``max_bytes``); entry sizes are measured by pickling once, and the
-  same pickled blob feeds the disk tier so nothing is serialised twice.
+  (``max_bytes``); an entry's size is its pickled length, measured with
+  array data handed out of band (:func:`estimate_nbytes`), so sizing a
+  large entry copies none of its arrays.  The in-band blob is built only
+  when a disk tier is set.
 * **Disk tier** — optional persistence under ``REPRO_CACHE_DIR`` (or an
   explicit ``disk_dir``): entries are written atomically as
   ``<dir>/<kind>/<key>.pkl`` and promoted back into memory on hit, so
@@ -247,8 +249,16 @@ def seed_token(seed: Any) -> Optional[Tuple[Any, ...]]:
 
 
 def estimate_nbytes(value: Any) -> int:
-    """Size of ``value`` for budget accounting (its pickled length)."""
-    return len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+    """Size of ``value`` for budget accounting: its pickled length.
+
+    Pickles with protocol 5 and a ``buffer_callback``, so contiguous
+    array data leaves the pickle as out-of-band buffers and is counted by
+    size instead of being copied: the header length plus each buffer's
+    ``raw().nbytes``.
+    """
+    buffers: list = []
+    header = pickle.dumps(value, protocol=5, buffer_callback=buffers.append)
+    return len(header) + sum(buf.raw().nbytes for buf in buffers)
 
 
 # ----------------------------------------------------------------------
@@ -485,8 +495,7 @@ class SolverCache:
     # -- internals ------------------------------------------------------
 
     def _put(self, kind: str, key: str, value: Any, write_disk: bool) -> None:
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        nbytes = len(blob)
+        nbytes = estimate_nbytes(value)
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
@@ -497,7 +506,8 @@ class SolverCache:
                 self._bytes += nbytes
                 self._evict_locked()
             self._metric_gauges()
-        if write_disk:
+        if write_disk and self.disk_dir is not None:
+            blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
             self._disk_write(kind, key, blob)
 
     def _evict_locked(self) -> None:

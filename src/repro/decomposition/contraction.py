@@ -84,44 +84,49 @@ def _heavy_edge_match(
 ) -> np.ndarray:
     """Proposal rounds over CSR adjacency.
 
-    ``tie`` is the per-vertex random priority, ``fits`` the per-CSR-entry
-    eligibility mask (weight caps).  Returns ``match[v]`` = partner or
-    ``-1``.
+    ``tie`` is the per-vertex random priority (a permutation of
+    ``0..n-1``), ``fits`` the per-CSR-entry eligibility mask (weight
+    caps).  Returns ``match[v]`` = partner or ``-1``.
+
+    Each round, every free vertex proposes along its heaviest eligible
+    CSR entry (eligible: ``fits`` and the neighbour is free); among
+    entries of equal weight the neighbour with the lowest ``tie`` wins,
+    so the choice is unique.  It is found without sorting, by two
+    segmented reductions over the vertex-major entries:
+    ``maximum.reduceat`` of the weights, then ``minimum.reduceat`` of
+    ``tie`` over the entries that reach that maximum, mapped back through
+    the inverse permutation of ``tie``.  Entries that can no longer be
+    chosen (owner or neighbour matched) are dropped after every round, so
+    later rounds only scan what is left.
     """
     n = indptr.shape[0] - 1
     match = np.full(n, -1, dtype=np.int64)
-    deg = np.diff(indptr)
-    owner = np.repeat(np.arange(n, dtype=np.int64), deg)
-    # Static per-call entry order: within each vertex's CSR segment,
-    # heaviest edge first, then lowest random priority of the neighbour.
-    order = np.lexsort((tie[indices], -weights, owner))
-    nbr = indices[order]
-    fits = fits[order]
-    n_entries = nbr.size
-    entry_pos = np.arange(n_entries, dtype=np.int64)
-    seg_start = indptr[:-1]
-    nonempty = deg > 0
+    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    vertex_of_tie = np.empty(n, dtype=np.int64)
+    vertex_of_tie[tie] = np.arange(n, dtype=np.int64)
+    src, nbr, w = owner[fits], indices[fits], weights[fits]
     ids = np.arange(n, dtype=np.int64)
     for _ in range(rounds):
-        free = match < 0
-        if not free.any():
+        if src.size == 0:
             break
-        elig = fits & free[nbr]
-        # First eligible entry per CSR segment (min position, reduceat
-        # over the non-empty segments only; an empty reduce is invalid).
-        pos = np.where(elig, entry_pos, n_entries)
-        first = np.full(n, n_entries, dtype=np.int64)
-        if nonempty.any():
-            first[nonempty] = np.minimum.reduceat(pos, seg_start[nonempty])
+        # One segment per proposer (src stays vertex-major).
+        head = np.flatnonzero(np.concatenate(([True], src[1:] != src[:-1])))
+        seg_len = np.diff(np.append(head, src.size))
+        best_w = np.repeat(np.maximum.reduceat(w, head), seg_len)
+        nbr_tie = tie[nbr]
+        np.putmask(nbr_tie, w != best_w, n)
+        best_t = np.minimum.reduceat(nbr_tie, head)
         proposal = np.full(n, -1, dtype=np.int64)
-        has = free & (first < n_entries)
-        proposal[has] = nbr[first[has]]
+        proposal[src[head]] = vertex_of_tie[best_t]
         # Conflict resolution: only mutual proposals match this round.
         target = np.where(proposal >= 0, proposal, 0)
         mutual = (proposal >= 0) & (proposal[target] == ids)
         if not mutual.any():
             break
         match[mutual] = proposal[mutual]
+        free = match < 0
+        live = free[src] & free[nbr]
+        src, nbr, w = src[live], nbr[live], w[live]
     return match
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the content-addressed solver cache itself."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,47 @@ class TestMemoryTier:
         cache.store("k", (1,), "v")
         assert not cache.lookup("k", (1,))[0]
         assert len(cache) == 0
+
+
+class TestEstimateNbytes:
+    @pytest.mark.parametrize(
+        "value,n_arrays",
+        [
+            (np.zeros(1000), 1),
+            (np.zeros((50, 40))[:, ::2], 0),  # non-contiguous: pickled in band
+            (np.asfortranarray(np.zeros((30, 20))), 1),
+            (np.zeros(0), 1),
+            ({"a": np.arange(10), "b": [np.ones(5), 3, "x"]}, 2),
+            ([1, 2.5, "three", (4,)], 0),
+        ],
+    )
+    def test_tracks_in_band_pickle_length(self, value, n_arrays):
+        # Out-of-band buffers skip only the in-band bytes framing of each
+        # array's data, a few bytes per array.
+        in_band = len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+        assert 0 <= in_band - estimate_nbytes(value) <= 16 * n_arrays
+
+    def test_memory_tier_builds_no_in_band_blob(self, tmp_path, monkeypatch):
+        in_band = []
+        dumps = pickle.dumps
+
+        def spy(value, *args, **kwargs):
+            if kwargs.get("buffer_callback") is None:
+                in_band.append(value)
+            return dumps(value, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", spy)
+        payload = np.arange(4096, dtype=np.float64)
+        memory_only = SolverCache(max_bytes=1 << 20)
+        memory_only.store("k", (0,), payload)
+        assert memory_only.nbytes == estimate_nbytes(payload)
+        assert in_band == []
+        with_disk = SolverCache(max_bytes=1 << 20, disk_dir=str(tmp_path / "d"))
+        with_disk.store("k", (0,), payload)
+        assert len(in_band) == 1
+        fresh = SolverCache(max_bytes=1 << 20, disk_dir=str(tmp_path / "d"))
+        hit, value = fresh.lookup("k", (0,))
+        assert hit and np.array_equal(value, payload)
 
 
 class TestDiskTier:

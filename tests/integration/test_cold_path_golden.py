@@ -16,6 +16,13 @@ Gomory–Hu trees (Dinic level BFS and blocking flow), an h=3 hierarchy
 (the blocked dominance scan) and a forced multilevel solve (heavy-edge
 matching; on a star also the two-hop stall escape).  These were recorded
 before the hot loops moved out of the kernel backend registry.
+
+``grid3d:ml44`` is a default-config multilevel solve of a weighted
+16×16×16 mesh (n=4096) on ``Hierarchy([4, 4], [20, 5, 0])``: capped
+heavy-edge matching over several coarsening levels and FM refinement on
+every uncoarsening level, at a size where both inner loops work on
+thousands of CSR entries.  It was recorded before matching and the FM
+connection tables stopped sorting.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from repro.core.config import MultilevelConfig
 from repro.graph.graph import Graph
 from repro.graph.generators import (
     grid_2d,
+    grid_3d,
     planted_partition,
     random_demands,
     random_geometric,
@@ -47,6 +55,7 @@ VARIANTS = {
     "multilevel": SolverConfig(
         multilevel=MultilevelConfig(enabled=True, coarsen_to=16)
     ),
+    "ml44": SolverConfig(multilevel=MultilevelConfig(enabled=True)),
 }
 
 
@@ -54,12 +63,17 @@ def _instance(family: str, n: int, seed: int):
     family, _, variant = family.partition(":")
     if variant == "h3":
         hier = Hierarchy([2, 2, 2], [8.0, 4.0, 1.0, 0.0])
+    elif variant == "ml44":
+        hier = Hierarchy([4, 4], [20.0, 5.0, 0.0])
     else:
         hier = Hierarchy([2, 8], [10.0, 3.0, 0.0])
     if family == "star":
         g = Graph(n, [(0, i, 1.0) for i in range(1, n)])
     elif family == "planted":
         g = planted_partition(16, n // 16, 0.5, 0.02, seed=seed)
+    elif family == "grid3d":
+        side = round(n ** (1 / 3))
+        g = grid_3d(side, side, side, weight_range=(1.0, 10.0), seed=seed)
     elif family == "grid":
         rows = int(math.sqrt(n / 2))
         g = grid_2d(rows, n // rows, weight_range=(1.0, 10.0), seed=seed)
@@ -134,6 +148,10 @@ SOLVE_GOLDEN = {
     ("star:multilevel", 129): (
         "0x1.c600000000000p+8",
         "f0c8a705daaf48938fe337f1c5f4c9402cf07f1fb4171b6f9834eb3020dd77df",
+    ),
+    ("grid3d:ml44", 4096): (
+        "0x1.4b9a3f37f89a0p+16",
+        "7febf79ca5227a64185556c5ffa5a7abbb110c4bb2b465e37b630b418108b362",
     ),
 }
 
