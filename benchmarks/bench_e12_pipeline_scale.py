@@ -4,7 +4,8 @@ The paper's DP is pseudo-polynomial (E4 measures the blow-up axes); the
 *practical* question is what instance sizes the engineering defaults
 (auto grid + beam + heuristic trees) make interactive.  This experiment
 sweeps the vertex count at fixed hierarchy and reports per-phase wall
-clock plus the solution quality proxy (cost vs. the greedy baseline).
+clock (read from the run's telemetry spans; the root span carries the
+end-to-end time) plus the solution quality proxy (cost vs. the greedy baseline).
 
 Expected shape: well-under-quadratic wall-clock growth at fixed
 cells-per-vertex (beam caps the DP state space), and a stable quality
@@ -12,9 +13,6 @@ advantage over greedy across sizes.
 """
 
 from __future__ import annotations
-
-import time
-
 
 from repro import SolverConfig, solve_hgp
 from repro.baselines import placement_baselines
@@ -30,21 +28,20 @@ def _experiment() -> Table:
     greedy = placement_baselines()["greedy"]
     for n_target in (32, 64, 128, 256):
         inst = make_instance("blocks", n_target, hier, fill=0.55, skew=0.4, seed=5)
-        t0 = time.perf_counter()
         res = solve_hgp(
             inst.graph,
             inst.hierarchy,
             inst.demands,
             SolverConfig(seed=0, n_trees=4, beam_width=128),
         )
-        total = time.perf_counter() - t0
+        spans = res.telemetry.root
         g_cost = greedy(inst.graph, inst.hierarchy, inst.demands, seed=0).cost()
         table.add_row(
             [
                 inst.graph.n,
-                res.stopwatch.total("trees"),
-                res.stopwatch.total("dp"),
-                total,
+                spans.child("trees").seconds,
+                spans.child("dp").seconds,
+                spans.seconds,
                 res.cost,
                 g_cost,
                 g_cost / res.cost if res.cost > 0 else float("inf"),

@@ -216,7 +216,7 @@ def _experiment_body():
             "heavy_edge_match",
             hem[0],
             lambda: _heavy_edge_match(*hem[1:]),
-            lambda out: float((out >= 0).sum()),
+            lambda out: float(((out + 1) * np.arange(1, out.size + 1)).sum()),
         ),
     )
     for kernel, n, run, checksum in single:

@@ -17,7 +17,7 @@ from repro.hierarchy.placement import Placement
 
 from repro.baselines.fm import fm_refine
 from repro.baselines.kl import kl_refine
-from repro.baselines.multilevel import bisect, coarsen, partition_kway
+from repro.baselines.multilevel import bisect, partition_kway
 from repro.baselines.flat import flat_placement, map_parts_to_leaves
 from repro.baselines.recursive_bisection import recursive_bisection_placement
 from repro.baselines.greedy import greedy_placement
@@ -28,7 +28,6 @@ __all__ = [
     "fm_refine",
     "kl_refine",
     "bisect",
-    "coarsen",
     "partition_kway",
     "flat_placement",
     "map_parts_to_leaves",

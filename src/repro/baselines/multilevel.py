@@ -3,7 +3,9 @@
 The three classic phases:
 
 1. **Coarsen** — iterated randomized heavy-edge matching contracts the
-   graph to a few hundred vertices while summing vertex weights;
+   graph to a few hundred vertices while summing vertex weights
+   (:func:`repro.multilevel.coarsen_graph`, the one coarsener shared
+   with the HGP multilevel front-end);
 2. **Initial partition** — spectral bisection (plus a random restart) on
    the coarsest graph;
 3. **Uncoarsen + refine** — project the partition up the hierarchy,
@@ -21,7 +23,7 @@ baselines in :mod:`repro.baselines.flat` /
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -30,59 +32,10 @@ from repro.graph.graph import Graph
 from repro.graph.spectral import fiedler_vector, sweep_cut
 from repro.baselines.fm import fm_refine
 from repro.baselines.kl import kl_refine
-from repro.decomposition.contraction import (
-    aggregate_unmatched,
-    heavy_edge_matching,
-    matching_labels,
-)
+from repro.multilevel.coarsen import coarsen_graph
 from repro.utils.rng import SeedLike, ensure_rng
 
-__all__ = ["bisect", "partition_kway", "coarsen"]
-
-
-def coarsen(
-    g: Graph,
-    vertex_weights: np.ndarray,
-    target_n: int,
-    rng: np.random.Generator,
-) -> Tuple[List[Graph], List[np.ndarray], List[np.ndarray]]:
-    """Build the coarsening hierarchy.
-
-    Returns ``(graphs, weights, maps)`` where ``graphs[0]`` is the input,
-    ``maps[i]`` sends level-``i`` vertices to level-``i+1`` supervertices,
-    and the last graph has at most ``target_n`` vertices (or coarsening
-    stalled).  Each level is one vectorised heavy-edge-matching pass —
-    no per-vertex Python loop anywhere on this path.
-
-    Supervertex weight is capped METIS-style at ``1.5 × total /
-    target_n`` so no cluster can swallow the graph (hub-heavy inputs
-    would otherwise leave one unsplittable mega-vertex and break the
-    bisection's balance), and stalled matchings fall back to
-    many-to-one aggregation of the unmatched vertices.
-    """
-    graphs = [g]
-    weights = [np.asarray(vertex_weights, dtype=np.float64)]
-    maps: List[np.ndarray] = []
-    max_weight = 1.5 * float(weights[0].sum()) / max(1, target_n)
-    while graphs[-1].n > target_n:
-        cur = graphs[-1]
-        w = weights[-1]
-        match = heavy_edge_matching(
-            cur, rng, vertex_weights=w, max_weight=max_weight
-        )
-        labels = matching_labels(match)
-        n_super = int(labels.max()) + 1 if labels.size else 0
-        if n_super >= 0.98 * cur.n:  # stalled (hubs, independent remnants)
-            labels = aggregate_unmatched(
-                cur, match, vertex_weights=w, max_weight=max_weight
-            )
-            n_super = int(labels.max()) + 1 if labels.size else 0
-        if n_super >= cur.n:  # no progress at all
-            break
-        graphs.append(cur.contract(labels))
-        weights.append(np.bincount(labels, weights=weights[-1], minlength=n_super))
-        maps.append(labels)
-    return graphs, weights, maps
+__all__ = ["bisect", "partition_kway"]
 
 
 def bisect(
@@ -132,7 +85,13 @@ def bisect(
     )
     if g.n == 1:
         return np.zeros(1, dtype=bool)
-    graphs, weights, maps = coarsen(g, w, coarsen_to, rng)
+    # Supervertex weight is capped METIS-style at 1.5 × total / coarsen_to
+    # so no cluster can swallow the graph (hub-heavy inputs would leave
+    # one unsplittable mega-vertex and break the balance).
+    levels = coarsen_graph(
+        g, w, target_n=coarsen_to, max_weight=1.5 * w.sum() / coarsen_to, rng=rng
+    )
+    graphs, weights, maps = levels.graphs, levels.demands, levels.maps
 
     # Initial partition on the coarsest graph: spectral sweep + random
     # greedy restart, keep the better.

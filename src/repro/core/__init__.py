@@ -3,12 +3,12 @@
 from repro.core.config import SolverConfig
 from repro.core.engine import (
     Engine,
-    EngineResult,
+    HGPResult,
     RunContext,
     run_pipeline,
     solve_member,
 )
-from repro.core.solver import HGPResult, solve_hgp, solve_hgpt
+from repro.core.solver import solve_hgp, solve_hgpt
 from repro.core.exact import exact_hgp
 from repro.core.kbgp import kbgp_hierarchy, minimum_bisection, solve_kbgp
 from repro.core.portfolio import seed_portfolio, solve_hgp_portfolio
@@ -17,7 +17,6 @@ from repro.core.telemetry import MemberRecord, RunReport, Span, Telemetry
 __all__ = [
     "SolverConfig",
     "Engine",
-    "EngineResult",
     "RunContext",
     "run_pipeline",
     "solve_member",

@@ -30,11 +30,14 @@ Stages
     report carries the full stage skeleton).
 
 The per-member work (DP + repair) is fused into :func:`solve_member`,
-which times its own phases with a :class:`repro.utils.timing.Stopwatch`
-and returns a picklable :class:`MemberOutcome`.  The process-pool path
-ships those outcomes back from the workers and the parent folds the
-timings into its telemetry via :meth:`Stopwatch.merge` — parallel runs
-report the same non-empty ``dp``/``repair`` breakdown as serial ones.
+which times its own phases into its :class:`MemberRecord`
+(``dp_seconds`` / ``repair_seconds``) and returns a picklable
+:class:`MemberOutcome`.  The process-pool path ships those outcomes back
+from the workers and the parent folds the record seconds into its span
+tree — parallel runs report the same non-empty ``dp``/``repair``
+breakdown as serial ones.
+
+Every path returns one result type, :class:`HGPResult`.
 """
 
 from __future__ import annotations
@@ -64,18 +67,18 @@ from repro.core.telemetry import (
     MemberRecord,
     RunReport,
     Telemetry,
+    collector,
     mark_active,
 )
 from repro.obs.logging import NULL_LOGGER, StructuredLogger, new_run_id
 from repro.obs.metrics import get_registry
 from repro.utils.rng import ensure_rng
-from repro.utils.timing import Stopwatch
 
 __all__ = [
     "STAGE_NAMES",
     "RunContext",
     "MemberOutcome",
-    "EngineResult",
+    "HGPResult",
     "Stage",
     "EmbedStage",
     "QuantizeStage",
@@ -274,10 +277,9 @@ class MemberOutcome:
     mapped_cost:
         True Eq. (1) cost of ``placement``.
     record:
-        Telemetry member record (timings + DP counters).
-    timings:
-        Per-phase stopwatch (``dp`` / ``repair`` sections) measured where
-        the member actually ran — in-process or in a pool worker.
+        Telemetry member record: DP counters plus the ``dp`` / ``repair``
+        seconds measured where the member actually ran — in-process or
+        in a pool worker.
     log_records:
         Structured log records emitted where the member ran; pool
         workers ship them back here and the parent replays them through
@@ -289,7 +291,6 @@ class MemberOutcome:
     dp_cost: float
     mapped_cost: float
     record: MemberRecord
-    timings: Stopwatch
     log_records: List[dict] = field(default_factory=list)
 
 
@@ -523,28 +524,31 @@ def solve_member(
 
     This is the unit of work the engine fans out — in-process for
     ``n_jobs == 1``, in pool workers otherwise.  The returned
-    :class:`MemberOutcome` is picklable and carries its own stopwatch
-    and log records (stamped with ``run_id`` and the worker's pid), so
-    the parent can merge worker timings into its telemetry and replay
-    worker logs under the run's correlation id.  ``attempt`` is which
-    resilience-layer attempt this solve is (stamped into the member
-    record as ``attempts``); the solve itself is attempt-independent, so
-    retried members produce bit-identical placements and costs.
+    :class:`MemberOutcome` is picklable and carries its phase seconds
+    (on its record) and log records (stamped with ``run_id`` and the
+    worker's pid), so the parent can fold worker timings into its
+    telemetry and replay worker logs under the run's correlation id.
+    ``attempt`` is which resilience-layer attempt this solve is (stamped
+    into the member record as ``attempts``); the solve itself is
+    attempt-independent, so retried members produce bit-identical
+    placements and costs.
     """
     own_stats = DPStats()
-    sw = Stopwatch()
     # mark_active gives the sampling profiler span attribution for these
-    # phases; the Stopwatch (picklable, worker-side) stays the timing
-    # source of truth.
-    with sw.section("dp"), mark_active("dp"):
+    # phases; the record's seconds (picklable, worker-side) are the
+    # timing source of truth.
+    t0 = time.perf_counter()
+    with mark_active("dp"):
         solution, escalations = _DP_STAGE.run_member(
             tree, hierarchy, demands, config, grid, stats=own_stats
         )
-    with sw.section("repair"), mark_active("repair"):
+    t1 = time.perf_counter()
+    with mark_active("repair"):
         placement = _REPAIR_STAGE.run_member(
             tree, hierarchy, demands, solution, grid
         )
         mapped = placement.cost()
+    t2 = time.perf_counter()
     if stats is not None:
         stats.update(own_stats)
     record = MemberRecord(
@@ -552,8 +556,8 @@ def solve_member(
         method=getattr(tree, "method", None),
         dp_cost=float(solution.cost),
         mapped_cost=float(mapped),
-        dp_seconds=sw.total("dp"),
-        repair_seconds=sw.total("repair"),
+        dp_seconds=t1 - t0,
+        repair_seconds=t2 - t1,
         beam_escalations=escalations,
         attempts=attempt,
         dp_nodes=own_stats.nodes,
@@ -590,7 +594,6 @@ def solve_member(
         dp_cost=float(solution.cost),
         mapped_cost=float(mapped),
         record=record,
-        timings=sw,
         log_records=log_records,
     )
 
@@ -601,12 +604,40 @@ def solve_member(
 
 
 @dataclass
-class EngineResult:
-    """What one engine run produced: placement, diagnostics, telemetry.
+class HGPResult:
+    """What one solve produced: placement, diagnostics, telemetry.
 
-    ``failures`` is non-empty (and ``degraded`` True) only when the
-    resilience policy allowed the run to complete on a partial ensemble;
-    see :mod:`repro.core.resilience`.
+    Every solve path returns this type: :func:`run_pipeline`,
+    :func:`repro.core.solver.solve_hgp`, the portfolio, guided iteration
+    and the multilevel front-end.
+
+    Attributes
+    ----------
+    placement:
+        The best placement found (lowest true Eq. (1) cost).
+    tree_costs:
+        Mapped cost achieved by each ensemble member.
+    dp_costs:
+        DP (tree-side, edge-cut) cost per member — always an upper bound
+        on the corresponding mapped cost (Proposition 1).
+    grid:
+        The demand grid used.
+    telemetry:
+        The structured collector for this run (spans, member records).
+    config:
+        The configuration the run was asked to solve with.
+    run_id:
+        Correlation id stamped on the run's logs and report.
+    failures:
+        Non-empty (and ``degraded`` True) only when the resilience policy
+        allowed the run to complete on a partial ensemble; see
+        :mod:`repro.core.resilience`.
+    incremental:
+        Whether the run's DP solves used the subtree-table memo.
+
+    A multilevel result describes the coarse solve in ``tree_costs`` /
+    ``dp_costs`` / ``grid`` while ``placement`` (and ``cost``) are the
+    fine-level result.
     """
 
     placement: Placement
@@ -629,20 +660,21 @@ class EngineResult:
         """True Eq. (1) cost of the winning placement."""
         return self.placement.cost()
 
-    def stopwatch(self) -> Stopwatch:
-        """Legacy flat phase-timing view (the telemetry root's children)."""
-        return self.telemetry.to_stopwatch()
-
     def report(self, **meta: object) -> RunReport:
         """Freeze the run into a JSON-serialisable :class:`RunReport`.
 
         The run's correlation id is stamped into ``meta["run_id"]`` so
-        reports, traces and JSON-lines logs cross-reference.
+        reports, traces and JSON-lines logs cross-reference; a multilevel
+        run also carries its summary as ``meta["multilevel"]``.
         """
         if self.run_id is not None:
             meta.setdefault("run_id", self.run_id)
         if self.incremental is not None:
             meta.setdefault("incremental", self.incremental)
+        pm = self.placement.meta
+        if "coarsen" in pm:
+            keys = ("coarsen", "coarse_cost", "refine_moves", "refine_gain")
+            meta.setdefault("multilevel", {k: pm[k] for k in keys})
         return self.telemetry.report(
             config=self.config.describe(), cost=self.cost, **meta
         )
@@ -670,7 +702,7 @@ class Engine:
         self.repair = repair or RepairStage()
         self.refine = refine or RefineStage()
 
-    def run(self, ctx: RunContext) -> EngineResult:
+    def run(self, ctx: RunContext) -> HGPResult:
         """Execute embed → quantize → (dp + repair per member) → refine.
 
         The ensemble members are independent; with ``config.n_jobs > 1``
@@ -704,15 +736,13 @@ class Engine:
         outcomes, failures, _restarts = run_members(ctx, base)
 
         # Fold the members' self-measured phase timings (worker-side for
-        # the pool path) into this run's span tree — this is the fix for
-        # the old parallel path reporting empty dp/repair sections.
+        # the pool path) into this run's span tree, so parallel runs
+        # report non-empty dp/repair sections too.
         metrics = get_registry()
         process_label = bool(os.environ.get("REPRO_METRICS_PROCESS_LABEL"))
-        merged = Stopwatch()
         escalations = 0
         worker_merges = 0
         for outcome in outcomes:
-            merged.merge(outcome.timings)
             # Pool workers bracket their solve with registry snapshots
             # and ship the per-job delta home on the record; fold it in
             # (counters sum, gauges last-write, histograms bucket-wise)
@@ -738,8 +768,13 @@ class Engine:
                 "repro_metrics_worker_merges_total",
                 "Worker metric deltas merged into the parent registry",
             ).inc(worker_merges)
-        for name in (self.dp.name, self.repair.name):
-            tel.add_seconds(name, merged.total(name), merged.counts.get(name, 0))
+        records = [o.record for o in outcomes]
+        tel.add_seconds(
+            self.dp.name, sum(r.dp_seconds for r in records), len(records)
+        )
+        tel.add_seconds(
+            self.repair.name, sum(r.repair_seconds for r in records), len(records)
+        )
         for failure in failures:
             tel.record_failure(failure)
         ctx.outcomes.extend(outcomes)
@@ -777,7 +812,7 @@ class Engine:
             failed_members=len(failures),
             beam_escalations=escalations,
         )
-        return EngineResult(
+        return HGPResult(
             placement=ctx.placement,
             tree_costs=[o.mapped_cost for o in outcomes],
             dp_costs=[o.dp_cost for o in outcomes],
@@ -802,13 +837,13 @@ def run_pipeline(
     engine: Optional[Engine] = None,
     run_id: Optional[str] = None,
     logger: Optional[StructuredLogger] = None,
-) -> EngineResult:
+) -> HGPResult:
     """Run the staged engine on one instance and return its result.
 
     This is the single entry point every solve path uses.  Callers that
     want a shared collector (portfolio members, streaming epochs) pass
     their own ``telemetry``; otherwise a fresh one rooted at ``path`` is
-    created and attached to the result.
+    created, its root span timed end to end, and attached to the result.
 
     Parameters
     ----------
@@ -841,31 +876,32 @@ def run_pipeline(
     """
     d = np.asarray(demands, dtype=np.float64)
     validate_instance(g, hierarchy, d)
-    ctx = RunContext(
-        graph=g,
-        hierarchy=hierarchy,
-        demands=d,
-        config=config,
-        telemetry=telemetry if telemetry is not None else Telemetry(path),
-        grid=grid,
-        trees=trees,
-        run_id=run_id,
-        logger=logger if logger is not None else NULL_LOGGER,
-    )
-    prof_cfg = getattr(config, "profile", None)
-    session = None
-    if prof_cfg is not None and prof_cfg.enabled:
-        from repro.obs.profile import ProfileSession
+    with collector(telemetry, path) as tel:
+        ctx = RunContext(
+            graph=g,
+            hierarchy=hierarchy,
+            demands=d,
+            config=config,
+            telemetry=tel,
+            grid=grid,
+            trees=trees,
+            run_id=run_id,
+            logger=logger if logger is not None else NULL_LOGGER,
+        )
+        prof_cfg = getattr(config, "profile", None)
+        session = None
+        if prof_cfg is not None and prof_cfg.enabled:
+            from repro.obs.profile import ProfileSession
 
-        session = ProfileSession(prof_cfg, ctx.telemetry).start()
-    try:
-        result = (engine or Engine()).run(ctx)
-        result.incremental = incremental_enabled(config)
-    finally:
-        if session is not None:
-            # Stamp the profile before the report below is written, so
-            # persisted reports carry it (RunReport schema v3).
-            ctx.telemetry.profile = session.finish()
+            session = ProfileSession(prof_cfg, tel).start()
+        try:
+            result = (engine or Engine()).run(ctx)
+            result.incremental = incremental_enabled(config)
+        finally:
+            if session is not None:
+                # Stamp the profile before the report below is written, so
+                # persisted reports carry it (RunReport schema v3).
+                tel.profile = session.finish()
     report_dir = os.environ.get("REPRO_RUN_REPORT_DIR")
     if report_dir:
         out = Path(report_dir)

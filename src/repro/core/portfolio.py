@@ -21,9 +21,8 @@ from repro.errors import InvalidInputError
 from repro.graph.graph import Graph
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.core.config import SolverConfig
-from repro.core.engine import EngineResult, run_pipeline
-from repro.core.solver import HGPResult
-from repro.core.telemetry import Telemetry
+from repro.core.engine import HGPResult, run_pipeline
+from repro.core.telemetry import Telemetry, collector
 
 __all__ = ["solve_hgp_portfolio", "seed_portfolio"]
 
@@ -57,7 +56,8 @@ def solve_hgp_portfolio(
         Size of the default seed portfolio.
     telemetry:
         Shared collector for all members (``None`` = a fresh
-        ``Telemetry("portfolio")``, attached to the returned result).
+        ``Telemetry("portfolio")`` timed end to end, attached to the
+        returned result).
 
     Returns
     -------
@@ -70,21 +70,16 @@ def solve_hgp_portfolio(
         configs = seed_portfolio(SolverConfig(), n_seeds)
     if not configs:
         raise InvalidInputError("portfolio needs at least one configuration")
-    tel = telemetry if telemetry is not None else Telemetry("portfolio")
-    best: Optional[EngineResult] = None
+    best: Optional[HGPResult] = None
     best_member = -1
-    for i, cfg in enumerate(configs):
-        tel.counter("portfolio_members")
-        result = run_pipeline(g, hierarchy, demands, cfg, telemetry=tel)
-        if best is None or result.cost < best.cost:
-            best = result
-            best_member = i
+    with collector(telemetry, "portfolio") as tel:
+        for i, cfg in enumerate(configs):
+            tel.counter("portfolio_members")
+            result = run_pipeline(g, hierarchy, demands, cfg, telemetry=tel)
+            if best is None or result.cost < best.cost:
+                best = result
+                best_member = i
     assert best is not None
-    return HGPResult(
-        best.placement.with_meta(portfolio_member=best_member),
-        best.tree_costs,
-        best.dp_costs,
-        tel.to_stopwatch(),
-        best.grid,
-        telemetry=tel,
+    return replace(
+        best, placement=best.placement.with_meta(portfolio_member=best_member)
     )

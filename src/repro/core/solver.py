@@ -17,8 +17,8 @@ factors the worst-case analysis ignores.
 
 Since the staged-engine refactor the actual pipeline lives in
 :mod:`repro.core.engine`; these wrappers keep the original public
-signatures and results while every run now also carries structured
-telemetry (``HGPResult.telemetry`` / ``HGPResult.report()``).
+signatures and return the engine's :class:`HGPResult` unchanged, with its
+structured telemetry (``HGPResult.telemetry`` / ``HGPResult.report()``).
 
 ``solve_hgpt`` exposes the tree-only solver for callers who already have
 a tree instance (the HGPT problem per se, Theorem 2).
@@ -37,73 +37,15 @@ from repro.decomposition.tree import DecompositionTree
 from repro.hgpt.dp import DPStats
 from repro.hgpt.quantize import DemandGrid
 from repro.core.config import SolverConfig
-from repro.core.engine import make_grid, run_pipeline, solve_member, validate_instance
-from repro.core.telemetry import RunReport, Telemetry
-from repro.utils.timing import Stopwatch
+from repro.core.engine import (
+    HGPResult,
+    make_grid,
+    run_pipeline,
+    solve_member,
+    validate_instance,
+)
 
 __all__ = ["solve_hgp", "solve_hgpt", "HGPResult"]
-
-
-class HGPResult:
-    """Return value of :func:`solve_hgp`: the winning placement plus
-    per-tree diagnostics.
-
-    Attributes
-    ----------
-    placement:
-        The best placement found (lowest true Eq. (1) cost).
-    tree_costs:
-        Mapped cost achieved by each ensemble member.
-    dp_costs:
-        DP (tree-side, edge-cut) cost per member — always an upper bound
-        on the corresponding mapped cost (Proposition 1), asserted in
-        tests.
-    stopwatch:
-        Phase timings (``trees``, ``quantize``, ``dp``, ``repair``,
-        ``refine``) — a flat view of the telemetry span tree.
-    grid:
-        The demand grid used.
-    telemetry:
-        The structured collector for this run (``None`` only for results
-        constructed by legacy code that never went through the engine).
-    incremental:
-        The engine's resolved-mode stamp, carried through so
-        :meth:`report` tags the run meta exactly as the engine's own
-        reports do.
-    """
-
-    def __init__(
-        self,
-        placement: Placement,
-        tree_costs: list[float],
-        dp_costs: list[float],
-        stopwatch: Stopwatch,
-        grid: DemandGrid,
-        telemetry: Optional[Telemetry] = None,
-        incremental: Optional[bool] = None,
-    ):
-        self.placement = placement
-        self.tree_costs = tree_costs
-        self.dp_costs = dp_costs
-        self.stopwatch = stopwatch
-        self.grid = grid
-        self.telemetry = telemetry
-        self.incremental = incremental
-
-    @property
-    def cost(self) -> float:
-        """True Eq. (1) cost of the winning placement."""
-        return self.placement.cost()
-
-    def report(self, **meta: object) -> RunReport:
-        """Structured run report (requires engine-produced telemetry)."""
-        if self.telemetry is None:
-            raise ValueError("this result carries no telemetry")
-        if self.incremental is not None:
-            meta.setdefault("incremental", self.incremental)
-        return self.telemetry.report(
-            config=self.placement.meta.get("config"), cost=self.cost, **meta
-        )
 
 
 def solve_hgpt(
@@ -173,23 +115,5 @@ def solve_hgp(
         # Local import: repro.multilevel sits on top of the engine.
         from repro.multilevel import solve_multilevel
 
-        res = solve_multilevel(g, hierarchy, demands, config)
-        return HGPResult(
-            res.placement,
-            res.coarse.tree_costs,
-            res.coarse.dp_costs,
-            res.telemetry.to_stopwatch(),
-            res.coarse.grid,
-            telemetry=res.telemetry,
-            incremental=res.coarse.incremental,
-        )
-    result = run_pipeline(g, hierarchy, demands, config, path="batch")
-    return HGPResult(
-        result.placement,
-        result.tree_costs,
-        result.dp_costs,
-        result.stopwatch(),
-        result.grid,
-        telemetry=result.telemetry,
-        incremental=result.incremental,
-    )
+        return solve_multilevel(g, hierarchy, demands, config)
+    return run_pipeline(g, hierarchy, demands, config, path="batch")

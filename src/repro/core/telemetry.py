@@ -30,8 +30,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
 
-from repro.utils.timing import Stopwatch
-
 __all__ = [
     "Span",
     "MemberRecord",
@@ -39,6 +37,7 @@ __all__ = [
     "Telemetry",
     "RunReport",
     "active_spans",
+    "collector",
     "mark_active",
 ]
 
@@ -69,11 +68,11 @@ def mark_active(name: str) -> Iterator[None]:
     """Tag the calling thread as "inside ``name``" for the profiler only.
 
     A zero-cost sibling of :meth:`Telemetry.span` for code that times
-    itself some other way (``solve_member`` uses a Stopwatch so its
-    timings stay picklable): no Span node is created and nothing shows
-    up in reports, but stack samples taken while the block runs are
-    attributed to ``name``.  Works identically in pool workers, where
-    no Telemetry instance exists at all.
+    itself some other way (``solve_member`` stores its phase seconds on
+    its picklable :class:`MemberRecord`): no Span node is created and
+    nothing shows up in reports, but stack samples taken while the
+    block runs are attributed to ``name``.  Works identically in pool
+    workers, where no Telemetry instance exists at all.
     """
     ident = threading.get_ident()
     _ACTIVE_SPANS.setdefault(ident, []).append(name)
@@ -375,18 +374,6 @@ class Telemetry:
         hits.extend(self.root.find_all(name))
         return hits
 
-    def to_stopwatch(self) -> Stopwatch:
-        """Legacy :class:`Stopwatch` view: the root's direct children.
-
-        Keeps :attr:`repro.core.solver.HGPResult.stopwatch` working for
-        callers written against the pre-engine API.
-        """
-        sw = Stopwatch()
-        for c in self.root.children:
-            sw.totals[c.name] = sw.totals.get(c.name, 0.0) + c.seconds
-            sw.counts[c.name] = sw.counts.get(c.name, 0) + max(c.count, 1)
-        return sw
-
     def report(
         self,
         config: Optional[dict] = None,
@@ -405,6 +392,27 @@ class Telemetry:
             degraded=self.degraded,
             profile=self.profile,
         )
+
+
+@contextmanager
+def collector(telemetry: Optional[Telemetry], path: str) -> Iterator[Telemetry]:
+    """Yield ``telemetry``, or a fresh ``Telemetry(path)`` timed end to end.
+
+    Only the code that creates a collector times it: the block's wall
+    time lands on the new root span with count 1, so a collector shared
+    by several engine runs (portfolio members, guided rounds, the
+    multilevel coarse solve) carries one root time, its creator's.
+    """
+    if telemetry is not None:
+        yield telemetry
+        return
+    tel = Telemetry(path)
+    start = time.perf_counter()
+    try:
+        yield tel
+    finally:
+        tel.root.seconds += time.perf_counter() - start
+        tel.root.count += 1
 
 
 @dataclass

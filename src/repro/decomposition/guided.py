@@ -122,8 +122,8 @@ def solve_hgp_iterated(
         (0 = plain :func:`repro.core.solve_hgp`).
     telemetry:
         Shared :class:`repro.core.telemetry.Telemetry` collector
-        (``None`` = a fresh ``Telemetry("guided")``, attached to the
-        returned result).
+        (``None`` = a fresh ``Telemetry("guided")`` timed end to end,
+        attached to the returned result).
 
     Returns
     -------
@@ -134,50 +134,40 @@ def solve_hgp_iterated(
     """
     from repro.core.config import SolverConfig
     from repro.core.engine import run_pipeline, solve_member
-    from repro.core.solver import HGPResult
-    from repro.core.telemetry import Telemetry
+    from repro.core.telemetry import collector
 
     cfg = config if config is not None else SolverConfig()
-    tel = telemetry if telemetry is not None else Telemetry("guided")
     d = np.asarray(demands, dtype=np.float64)
-    base = run_pipeline(g, hierarchy, d, cfg, telemetry=tel)
-    result = HGPResult(
-        base.placement,
-        base.tree_costs,
-        base.dp_costs,
-        tel.to_stopwatch(),
-        base.grid,
-        telemetry=tel,
-    )
-    improved_rounds = 0
-    for r in range(rounds):
-        with tel.span("trees"):
-            guided = placement_guided_tree(result.placement, seed=(cfg.seed or 0) + r)
-            guided.method = "guided"
-        outcome = solve_member(
-            guided, hierarchy, d, cfg, base.grid, index=len(tel.members)
-        )
-        tel.add_seconds("dp", outcome.timings.total("dp"))
-        tel.add_seconds("repair", outcome.timings.total("repair"))
-        tel.record_member(outcome.record)
-        placement = outcome.placement
-        if cfg.refine and cfg.refine_passes > 0:
-            from repro.baselines.local_search import refine_placement
-
-            with tel.span("refine"):
-                placement = refine_placement(
-                    placement,
-                    max_passes=cfg.refine_passes,
-                    max_violation=max(1.0, placement.max_violation()),
-                    allow_swaps=True,
-                )
-        result.tree_costs.append(placement.cost())
-        result.dp_costs.append(outcome.dp_cost)
-        if placement.cost() < result.cost:
-            result.placement = placement.with_meta(
-                solver="hgp_iterated", config=cfg.describe()
+    with collector(telemetry, "guided") as tel:
+        result = run_pipeline(g, hierarchy, d, cfg, telemetry=tel)
+        improved_rounds = 0
+        for r in range(rounds):
+            with tel.span("trees"):
+                guided = placement_guided_tree(result.placement, seed=(cfg.seed or 0) + r)
+                guided.method = "guided"
+            outcome = solve_member(
+                guided, hierarchy, d, cfg, result.grid, index=len(tel.members)
             )
-            improved_rounds += 1
+            tel.add_seconds("dp", outcome.record.dp_seconds)
+            tel.add_seconds("repair", outcome.record.repair_seconds)
+            tel.record_member(outcome.record)
+            placement = outcome.placement
+            if cfg.refine and cfg.refine_passes > 0:
+                from repro.baselines.local_search import refine_placement
+
+                with tel.span("refine"):
+                    placement = refine_placement(
+                        placement,
+                        max_passes=cfg.refine_passes,
+                        max_violation=max(1.0, placement.max_violation()),
+                        allow_swaps=True,
+                    )
+            result.tree_costs.append(placement.cost())
+            result.dp_costs.append(outcome.dp_cost)
+            if placement.cost() < result.cost:
+                result.placement = placement.with_meta(
+                    solver="hgp_iterated", config=cfg.describe()
+                )
+                improved_rounds += 1
     result.placement = result.placement.with_meta(guided_rounds=improved_rounds)
-    result.stopwatch = tel.to_stopwatch()
     return result

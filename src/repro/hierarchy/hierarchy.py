@@ -147,14 +147,14 @@ class Hierarchy:
         a_arr = np.asarray(a, dtype=np.int64)
         b_arr = np.asarray(b, dtype=np.int64)
         out = np.zeros(np.broadcast(a_arr, b_arr).shape, dtype=np.int64)
-        # Deepest level at which the ancestors coincide, scanning bottom-up.
-        for level in range(self.h, 0, -1):
+        # Ancestor agreement is monotone in depth (agreeing at a level
+        # implies agreeing at every shallower one), so the number of
+        # agreeing levels 1..h is the deepest agreeing level; leaves
+        # under different root children count 0 (the root).
+        for level in range(1, self.h + 1):
             width = self._suffix_prod[level]
-            same = (a_arr // width) == (b_arr // width)
-            out = np.where(same & (out == 0), level, out)
-        # Leaves under different root children keep 0 (the root).
-        result = out
-        return result if result.ndim else int(result)
+            out += (a_arr // width) == (b_arr // width)
+        return out if out.ndim else int(out)
 
     def pair_cost_multiplier(
         self, a: np.ndarray | int, b: np.ndarray | int

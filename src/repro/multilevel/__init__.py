@@ -16,13 +16,12 @@ from repro.multilevel.coarsen import (
     CoarseningHierarchy,
     coarsen_graph,
 )
-from repro.multilevel.frontend import MultilevelResult, solve_multilevel
+from repro.multilevel.frontend import solve_multilevel
 
 __all__ = [
     "MultilevelConfig",
     "CoarsenStats",
     "CoarseningHierarchy",
     "coarsen_graph",
-    "MultilevelResult",
     "solve_multilevel",
 ]

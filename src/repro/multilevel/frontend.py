@@ -19,6 +19,10 @@ Telemetry: the front-end opens ``coarsen`` / ``coarse_solve`` /
 ``uncoarsen`` spans on one shared collector, so the engine's five stage
 spans nest under ``coarse_solve`` and ``repro report show`` displays the
 per-level refinement spans (``level_0`` … adjacent to the engine tree).
+
+The result is the coarse solve's :class:`repro.core.engine.HGPResult`
+with the fine placement swapped in; the multilevel summary travels in
+``placement.meta`` and surfaces as the report's ``meta["multilevel"]``.
 """
 
 from __future__ import annotations
@@ -26,20 +30,20 @@ from __future__ import annotations
 import os
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.baselines.fm import HierarchyRefineStats, fm_refine_hierarchy
+from repro.baselines.fm import fm_refine_hierarchy
 from repro.cache import resolve_cache, seed_token
 from repro.core.config import MultilevelConfig, SolverConfig
 from repro.core.engine import (
-    EngineResult,
+    HGPResult,
     incremental_enabled,
     run_pipeline,
     validate_instance,
 )
-from repro.core.telemetry import MemberFailure, RunReport, Telemetry
+from repro.core.telemetry import Telemetry, collector
 from repro.graph.graph import Graph
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.hierarchy.placement import Placement
@@ -47,82 +51,7 @@ from repro.multilevel.coarsen import CoarseningHierarchy, coarsen_graph
 from repro.obs.logging import NULL_LOGGER, StructuredLogger, new_run_id
 from repro.obs.metrics import get_registry
 
-__all__ = ["MultilevelResult", "solve_multilevel"]
-
-
-class MultilevelResult:
-    """Return value of :func:`solve_multilevel`.
-
-    Attributes
-    ----------
-    placement:
-        The final fine-level placement (projected + refined).
-    coarse:
-        The :class:`repro.core.engine.EngineResult` of the coarsest
-        solve — cache hits, ensemble diagnostics and degradation status
-        live here.
-    levels:
-        The coarsening hierarchy (graphs, demands, maps, stats).
-    refine_stats:
-        One :class:`repro.baselines.fm.HierarchyRefineStats` per
-        uncoarsening level, coarsest-to-finest order.
-    telemetry:
-        The shared collector covering coarsening, the engine run and
-        refinement.
-    """
-
-    def __init__(
-        self,
-        placement: Placement,
-        coarse: EngineResult,
-        levels: CoarseningHierarchy,
-        refine_stats: List[HierarchyRefineStats],
-        telemetry: Telemetry,
-        config: SolverConfig,
-        run_id: Optional[str] = None,
-    ):
-        self.placement = placement
-        self.coarse = coarse
-        self.levels = levels
-        self.refine_stats = refine_stats
-        self.telemetry = telemetry
-        self.config = config
-        self.run_id = run_id
-
-    @property
-    def cost(self) -> float:
-        """True Eq. (1) cost of the final placement."""
-        return self.placement.cost()
-
-    @property
-    def failures(self) -> List[MemberFailure]:
-        """Terminal member failures of the coarse solve."""
-        return self.coarse.failures
-
-    @property
-    def degraded(self) -> bool:
-        """Whether the coarse solve lost ensemble members."""
-        return self.coarse.degraded
-
-    def stats_dict(self) -> dict:
-        """JSON-ready multilevel summary (stamped into report meta)."""
-        return {
-            "coarsen": self.levels.stats.to_dict(),
-            "coarse_cost": self.coarse.cost,
-            "refine_moves": int(sum(s.moves for s in self.refine_stats)),
-            "refine_gain": float(sum(s.gain for s in self.refine_stats)),
-        }
-
-    def report(self, **meta: object) -> RunReport:
-        """Freeze the whole front-end run into one :class:`RunReport`."""
-        if self.run_id is not None:
-            meta.setdefault("run_id", self.run_id)
-        if self.coarse.incremental is not None:
-            meta.setdefault("incremental", self.coarse.incremental)
-        meta.setdefault("multilevel", self.stats_dict())
-        return self.telemetry.report(
-            config=self.config.describe(), cost=self.cost, **meta
-        )
+__all__ = ["solve_multilevel"]
 
 
 def solve_multilevel(
@@ -135,7 +64,7 @@ def solve_multilevel(
     path: str = "multilevel",
     run_id: Optional[str] = None,
     logger: Optional[StructuredLogger] = None,
-) -> MultilevelResult:
+) -> HGPResult:
     """Coarsen–solve–refine on one HGP instance.
 
     Parameters
@@ -148,7 +77,8 @@ def solve_multilevel(
         *is* the opt-in).  The coarse solve runs this very configuration
         with ``multilevel.enabled`` cleared.
     telemetry:
-        Shared collector (``None`` = fresh one rooted at ``path``).
+        Shared collector (``None`` = fresh one rooted at ``path``, timed
+        end to end).
     run_id:
         Correlation id reused for the embedded engine run (``None`` =
         fresh id), so the front-end report and the engine's logs line up.
@@ -158,173 +88,171 @@ def solve_multilevel(
     ml: MultilevelConfig = config.multilevel
     d = np.asarray(demands, dtype=np.float64)
     validate_instance(g, hierarchy, d)
-    tel = telemetry if telemetry is not None else Telemetry(path)
-    log = logger if logger is not None else NULL_LOGGER
-    if run_id is None:
-        run_id = new_run_id()
-    log = log.bind(run_id=run_id)
-    registry = get_registry()
-    registry.counter(
-        "repro_multilevel_runs_total", "Multilevel front-end solves started."
-    ).inc()
+    with collector(telemetry, path) as tel:
+        log = logger if logger is not None else NULL_LOGGER
+        if run_id is None:
+            run_id = new_run_id()
+        log = log.bind(run_id=run_id)
+        registry = get_registry()
+        registry.counter(
+            "repro_multilevel_runs_total", "Multilevel front-end solves started."
+        ).inc()
 
-    # Profile the whole front-end (coarsen + solve + refine), not just
-    # the embedded engine run: the session wraps everything below and
-    # profile.enabled is cleared on the inner config so run_pipeline
-    # does not start a second, nested profiler.
-    prof_cfg = getattr(config, "profile", None)
-    profile_session = None
-    if prof_cfg is not None and prof_cfg.enabled:
-        from repro.obs.profile import ProfileSession
+        # Profile the whole front-end (coarsen + solve + refine), not just
+        # the embedded engine run: the session wraps everything below and
+        # profile.enabled is cleared on the inner config so run_pipeline
+        # does not start a second, nested profiler.
+        prof_cfg = getattr(config, "profile", None)
+        profile_session = None
+        if prof_cfg is not None and prof_cfg.enabled:
+            from repro.obs.profile import ProfileSession
 
-        profile_session = ProfileSession(prof_cfg, tel).start()
+            profile_session = ProfileSession(prof_cfg, tel).start()
 
-    # Incremental runs add a content-addressed ``coarsening`` cache tier:
-    # the full level stack is keyed by graph digest + demands + every
-    # coarsening knob, so a reoptimize on an unchanged graph (or one
-    # revisited during churn) skips re-coarsening outright.  After a
-    # local delta the digest changes and coarsening reruns — the dirty
-    # region then resolves at the *coarse solve* instead, whose DP memo
-    # reloads every coarse subtree the delta left clean.  Cached level
-    # stacks are immutable build outputs, so warm and cold runs project
-    # identical placements.
-    coarsen_cache = None
-    coarsen_parts = None
-    if incremental_enabled(config):
-        seed_parts = seed_token(config.seed)
-        if seed_parts is not None:
-            coarsen_cache = resolve_cache(config.cache)
-            coarsen_parts = (
-                g.digest(),
-                d,
-                int(ml.coarsen_to),
-                float(hierarchy.leaf_capacity),
-                seed_parts,
-                int(ml.max_levels),
-                float(ml.stall_ratio),
-                int(ml.match_rounds),
-            )
-    with tel.span("coarsen"):
-        levels = None
-        if coarsen_cache is not None:
-            hit, levels = coarsen_cache.lookup("coarsening", coarsen_parts)
-            if hit and isinstance(levels, CoarseningHierarchy):
-                tel.counter("coarsen_cache_hits", 1)
-            else:
-                levels = None
-        if levels is None:
-            levels = coarsen_graph(
-                g,
-                d,
-                target_n=ml.coarsen_to,
-                max_weight=hierarchy.leaf_capacity,
-                rng=config.seed,
-                max_levels=ml.max_levels,
-                stall_ratio=ml.stall_ratio,
-                rounds=ml.match_rounds,
-            )
-            if coarsen_cache is not None:
-                coarsen_cache.store("coarsening", coarsen_parts, levels)
-                tel.counter("coarsen_cache_misses", 1)
-        st = levels.stats
-        tel.counter("levels", st.levels)
-        tel.counter("coarsest_n", st.n_coarsest)
-        tel.counter("coarsest_m", st.m_coarsest)
-        tel.counter("shrink_factor", st.shrink_factor)
-        if st.stalled:
-            tel.counter("stalled")
-    registry.gauge(
-        "repro_multilevel_levels", "Levels in the last coarsening hierarchy."
-    ).set(st.levels)
-    registry.gauge(
-        "repro_multilevel_shrink_factor",
-        "Fine-over-coarsest vertex ratio of the last coarsening.",
-    ).set(st.shrink_factor)
-    log.info(
-        "multilevel.coarsened",
-        levels=st.levels,
-        n_coarsest=st.n_coarsest,
-        shrink_factor=round(st.shrink_factor, 3),
-        stalled=st.stalled,
-    )
-
-    # The coarsest instance goes through the unchanged engine path, so
-    # cache / pool / resilience / telemetry behave exactly as in a flat
-    # solve.  Sharing ``tel`` nests the engine's stage spans under
-    # ``coarse_solve``.
-    inner_cfg = replace(config, multilevel=replace(ml, enabled=False))
-    if profile_session is not None:
-        inner_cfg = replace(
-            inner_cfg, profile=replace(inner_cfg.profile, enabled=False)
-        )
-    with tel.span("coarse_solve"):
-        coarse = run_pipeline(
-            levels.coarsest,
-            hierarchy,
-            levels.demands[-1],
-            inner_cfg,
-            telemetry=tel,
-            run_id=run_id,
-            logger=log,
-        )
-
-    leaf = coarse.placement.leaf_of
-    refine_stats: List[HierarchyRefineStats] = []
-    moves_total = 0
-    gain_total = 0.0
-    with tel.span("uncoarsen"):
-        for i in range(len(levels.maps) - 1, -1, -1):
-            leaf = leaf[levels.maps[i]]
-            with tel.span(f"level_{i}"):
-                leaf, stats = fm_refine_hierarchy(
-                    levels.graphs[i],
-                    hierarchy,
-                    levels.demands[i],
-                    leaf,
-                    max_passes=ml.refine_passes,
+        # Incremental runs add a content-addressed ``coarsening`` cache tier:
+        # the full level stack is keyed by graph digest + demands + every
+        # coarsening knob, so a reoptimize on an unchanged graph (or one
+        # revisited during churn) skips re-coarsening outright.  After a
+        # local delta the digest changes and coarsening reruns — the dirty
+        # region then resolves at the *coarse solve* instead, whose DP memo
+        # reloads every coarse subtree the delta left clean.  Cached level
+        # stacks are immutable build outputs, so warm and cold runs project
+        # identical placements.
+        coarsen_cache = None
+        coarsen_parts = None
+        if incremental_enabled(config):
+            seed_parts = seed_token(config.seed)
+            if seed_parts is not None:
+                coarsen_cache = resolve_cache(config.cache)
+                coarsen_parts = (
+                    g.digest(),
+                    d,
+                    int(ml.coarsen_to),
+                    float(hierarchy.leaf_capacity),
+                    seed_parts,
+                    int(ml.max_levels),
+                    float(ml.stall_ratio),
+                    int(ml.match_rounds),
                 )
-                refine_stats.append(stats)
-                moves_total += stats.moves
-                gain_total += stats.gain
-                tel.counter("n", levels.graphs[i].n)
-                tel.counter("moves", stats.moves)
-                tel.counter("gain", stats.gain)
-    registry.counter(
-        "repro_multilevel_refine_moves_total",
-        "Vertex moves applied by multilevel uncoarsening refinement.",
-    ).inc(moves_total)
-    registry.counter(
-        "repro_multilevel_refine_gain_total",
-        "Eq. (1) cost reduction won by uncoarsening refinement.",
-    ).inc(gain_total)
-    log.info(
-        "multilevel.refined",
-        levels=len(levels.maps),
-        moves=moves_total,
-        gain=round(gain_total, 6),
-    )
+        with tel.span("coarsen"):
+            levels = None
+            if coarsen_cache is not None:
+                hit, levels = coarsen_cache.lookup("coarsening", coarsen_parts)
+                if hit and isinstance(levels, CoarseningHierarchy):
+                    tel.counter("coarsen_cache_hits", 1)
+                else:
+                    levels = None
+            if levels is None:
+                levels = coarsen_graph(
+                    g,
+                    d,
+                    target_n=ml.coarsen_to,
+                    max_weight=hierarchy.leaf_capacity,
+                    rng=config.seed,
+                    max_levels=ml.max_levels,
+                    stall_ratio=ml.stall_ratio,
+                    rounds=ml.match_rounds,
+                )
+                if coarsen_cache is not None:
+                    coarsen_cache.store("coarsening", coarsen_parts, levels)
+                    tel.counter("coarsen_cache_misses", 1)
+            st = levels.stats
+            tel.counter("levels", st.levels)
+            tel.counter("coarsest_n", st.n_coarsest)
+            tel.counter("coarsest_m", st.m_coarsest)
+            tel.counter("shrink_factor", st.shrink_factor)
+            if st.stalled:
+                tel.counter("stalled")
+        registry.gauge(
+            "repro_multilevel_levels", "Levels in the last coarsening hierarchy."
+        ).set(st.levels)
+        registry.gauge(
+            "repro_multilevel_shrink_factor",
+            "Fine-over-coarsest vertex ratio of the last coarsening.",
+        ).set(st.shrink_factor)
+        log.info(
+            "multilevel.coarsened",
+            levels=st.levels,
+            n_coarsest=st.n_coarsest,
+            shrink_factor=round(st.shrink_factor, 3),
+            stalled=st.stalled,
+        )
 
-    placement = Placement(
-        g,
-        hierarchy,
-        d,
-        leaf,
-        meta={
-            "solver": "hgp_multilevel",
-            "config": config.describe(),
-            "coarsen": st.to_dict(),
-            "coarse_cost": coarse.cost,
-            "refine_moves": moves_total,
-            "refine_gain": gain_total,
-        },
-    )
-    if profile_session is not None:
-        # Stamp before the report below is written so persisted reports
-        # carry the profile (RunReport schema v3).
-        tel.profile = profile_session.finish()
-    result = MultilevelResult(
-        placement, coarse, levels, refine_stats, tel, config, run_id=run_id
-    )
+        # The coarsest instance goes through the unchanged engine path, so
+        # cache / pool / resilience / telemetry behave exactly as in a flat
+        # solve.  Sharing ``tel`` nests the engine's stage spans under
+        # ``coarse_solve``.
+        inner_cfg = replace(config, multilevel=replace(ml, enabled=False))
+        if profile_session is not None:
+            inner_cfg = replace(
+                inner_cfg, profile=replace(inner_cfg.profile, enabled=False)
+            )
+        with tel.span("coarse_solve"):
+            coarse = run_pipeline(
+                levels.coarsest,
+                hierarchy,
+                levels.demands[-1],
+                inner_cfg,
+                telemetry=tel,
+                run_id=run_id,
+                logger=log,
+            )
+
+        leaf = coarse.placement.leaf_of
+        moves_total = 0
+        gain_total = 0.0
+        with tel.span("uncoarsen"):
+            for i in range(len(levels.maps) - 1, -1, -1):
+                leaf = leaf[levels.maps[i]]
+                with tel.span(f"level_{i}"):
+                    leaf, stats = fm_refine_hierarchy(
+                        levels.graphs[i],
+                        hierarchy,
+                        levels.demands[i],
+                        leaf,
+                        max_passes=ml.refine_passes,
+                    )
+                    moves_total += stats.moves
+                    gain_total += stats.gain
+                    tel.counter("n", levels.graphs[i].n)
+                    tel.counter("moves", stats.moves)
+                    tel.counter("gain", stats.gain)
+        registry.counter(
+            "repro_multilevel_refine_moves_total",
+            "Vertex moves applied by multilevel uncoarsening refinement.",
+        ).inc(moves_total)
+        registry.counter(
+            "repro_multilevel_refine_gain_total",
+            "Eq. (1) cost reduction won by uncoarsening refinement.",
+        ).inc(gain_total)
+        log.info(
+            "multilevel.refined",
+            levels=len(levels.maps),
+            moves=moves_total,
+            gain=round(gain_total, 6),
+        )
+
+        placement = Placement(
+            g,
+            hierarchy,
+            d,
+            leaf,
+            meta={
+                "solver": "hgp_multilevel",
+                "config": config.describe(),
+                "coarsen": st.to_dict(),
+                "coarse_cost": coarse.cost,
+                "refine_moves": moves_total,
+                "refine_gain": gain_total,
+            },
+        )
+        if profile_session is not None:
+            # Stamp before the report below is written so persisted reports
+            # carry the profile (RunReport schema v3).
+            tel.profile = profile_session.finish()
+    # The coarse run's result, describing the coarse ensemble, with the
+    # fine placement (and the caller's config) swapped in.
+    result = replace(coarse, placement=placement, config=config)
     report_dir = os.environ.get("REPRO_RUN_REPORT_DIR")
     if report_dir:
         # Overwrite the engine's coarse-only report (same path + run_id)

@@ -3,39 +3,50 @@
 import numpy as np
 import pytest
 
-from repro.baselines.multilevel import bisect, coarsen, partition_kway
+from repro.baselines.multilevel import bisect, partition_kway
 from repro.errors import InvalidInputError
 from repro.graph.generators import (
+    barabasi_albert,
     grid_2d,
     planted_partition,
     power_law,
     random_regular,
 )
+from repro.multilevel import coarsen_graph
 from repro.utils.rng import ensure_rng
 
 
 class TestCoarsen:
+    """The coarsening :func:`bisect` runs: :func:`coarsen_graph` with the
+    METIS-style supervertex cap of 1.5 × total weight / target."""
+
+    @staticmethod
+    def coarsen(g, w, target, seed):
+        return coarsen_graph(
+            g, w, target_n=target, max_weight=1.5 * w.sum() / target, rng=ensure_rng(seed)
+        )
+
     def test_reaches_target(self):
         g = grid_2d(8, 8)
-        graphs, weights, maps = coarsen(g, np.ones(64), 12, ensure_rng(0))
-        assert graphs[-1].n <= 12 or len(maps) == 0
+        levels = self.coarsen(g, np.ones(64), 12, 0)
+        assert levels.coarsest.n <= 12 or len(levels.maps) == 0
 
     def test_weights_conserved(self):
         g = grid_2d(6, 6)
         w0 = np.random.default_rng(0).random(36) + 0.5
-        graphs, weights, maps = coarsen(g, w0, 8, ensure_rng(1))
-        for w in weights:
+        levels = self.coarsen(g, w0, 8, 1)
+        for w in levels.demands:
             assert w.sum() == pytest.approx(w0.sum())
 
     def test_maps_compose(self):
         g = grid_2d(6, 6)
-        graphs, weights, maps = coarsen(g, np.ones(36), 8, ensure_rng(2))
+        levels = self.coarsen(g, np.ones(36), 8, 2)
         labels = np.arange(36)
-        for m in maps:
+        for m in levels.maps:
             labels = m[labels]
         # Composition lands in the coarsest graph's id range and is onto.
-        assert labels.max() < graphs[-1].n
-        assert np.unique(labels).size == graphs[-1].n
+        assert labels.max() < levels.coarsest.n
+        assert np.unique(labels).size == levels.coarsest.n
 
 
 class TestBisect:
@@ -93,6 +104,13 @@ class TestPartitionKway:
         loads = np.zeros(4)
         np.add.at(loads, labels, w)
         assert loads.max() <= 1.6 * w.sum() / 4
+
+    def test_hub_graph_stays_balanced(self):
+        """The coarsening cap keeps hub clusters from swallowing the graph
+        (uncapped, every vertex lands in one part here)."""
+        g = barabasi_albert(3000, 2, seed=0)
+        labels = partition_kway(g, 8, seed=0)
+        assert np.bincount(labels, minlength=8).max() <= 1.5 * g.n / 8
 
     def test_k1_trivial(self, grid44):
         labels = partition_kway(grid44, 1, seed=0)

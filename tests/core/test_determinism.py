@@ -56,5 +56,9 @@ class TestWorkerDeterminism:
 
     def test_parallel_phase_timings_not_dropped(self, results):
         _serial, parallel = results
-        assert parallel.stopwatch.total("dp") > 0.0
-        assert parallel.stopwatch.total("repair") > 0.0
+        root = parallel.telemetry.root
+        assert root.child("dp").seconds > 0.0
+        assert root.child("repair").seconds > 0.0
+        assert root.child("dp").seconds == pytest.approx(
+            sum(m.dp_seconds for m in parallel.telemetry.members)
+        )

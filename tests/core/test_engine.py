@@ -55,19 +55,11 @@ class TestBatchPath:
         again = RunReport.from_json(report.to_json())
         assert again.to_dict() == report.to_dict()
 
-    def test_stopwatch_view_matches_telemetry(self, clustered_instance):
-        g, hier, d = clustered_instance
-        res = solve_hgp(g, hier, d, CFG)
-        for name in ("trees", "quantize", "dp", "repair"):
-            assert res.stopwatch.total(name) == pytest.approx(
-                res.telemetry.root.child(name).seconds
-            )
-
 
 class TestParallelPath:
     def test_worker_timings_merged(self, clustered_instance):
-        """The pool path reports non-empty dp/repair sections (the old
-        Stopwatch-based path silently dropped them)."""
+        """The pool path reports non-empty dp/repair sections, folded
+        from the seconds each worker measured on its member record."""
         g, hier, d = clustered_instance
         cfg = SolverConfig(seed=0, n_trees=4, refine=False, n_jobs=2)
         result = run_pipeline(g, hier, d, cfg)
@@ -177,6 +169,5 @@ class TestSolveMember:
         assert outcome.mapped_cost == pytest.approx(outcome.placement.cost())
         assert outcome.mapped_cost <= outcome.dp_cost + 1e-6
         assert outcome.record.method == "spectral"
-        assert outcome.timings.total("dp") == pytest.approx(
-            outcome.record.dp_seconds
-        )
+        assert outcome.record.dp_seconds > 0.0
+        assert outcome.record.repair_seconds > 0.0

@@ -71,8 +71,12 @@ class TestSolveHGP:
     def test_stopwatch_records_phases(self, clustered_instance):
         g, hier, d = clustered_instance
         res = solve_hgp(g, hier, d, CFG)
-        assert res.stopwatch.total("trees") > 0
-        assert res.stopwatch.total("dp") > 0
+        root = res.telemetry.root
+        assert root.child("trees").seconds > 0
+        assert root.child("dp").seconds > 0
+        assert root.child("dp").seconds == pytest.approx(
+            sum(m.dp_seconds for m in res.telemetry.members)
+        )
 
     def test_meta_records_config(self, clustered_instance):
         g, hier, d = clustered_instance

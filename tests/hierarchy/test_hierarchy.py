@@ -5,6 +5,7 @@ import pytest
 
 from repro import Hierarchy
 from repro.errors import InvalidInputError
+from tests import reference_kernels
 
 
 class TestConstruction:
@@ -108,6 +109,22 @@ class TestLCA:
                     else:
                         break
                 assert hier_deep.lca_level(a, b) == prefix
+
+    @pytest.mark.parametrize(
+        "degrees", [[2, 8], [4, 4], [2, 2, 2], [3, 5, 2, 2], [16]], ids=str
+    )
+    def test_all_leaf_pairs_match_reference_scan(self, degrees):
+        """The agreeing-level count equals the old bottom-up scan on every
+        leaf pair, as arrays and as scalar ints."""
+        hier = Hierarchy(degrees, list(range(len(degrees), -1, -1)))
+        a, b = np.meshgrid(np.arange(hier.k), np.arange(hier.k), indexing="ij")
+        got = hier.lca_level(a, b)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_kernels.lca_level(hier, a, b))
+        for x, y in zip(a.ravel().tolist(), b.ravel().tolist()):
+            level = hier.lca_level(x, y)
+            assert type(level) is int
+            assert level == reference_kernels.lca_level(hier, x, y)
 
     def test_pair_cost_multiplier(self, hier_2x4):
         assert hier_2x4.pair_cost_multiplier(0, 4) == 10.0

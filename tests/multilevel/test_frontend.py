@@ -1,17 +1,19 @@
 """End-to-end tests of the coarsen–solve–refine front-end."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.config import MultilevelConfig, SolverConfig
+from repro.core.engine import run_pipeline
 from repro.core.solver import solve_hgp
 from repro.core.telemetry import RunReport
 from repro.errors import InvalidInputError
 from repro.graph.generators import grid_2d, random_demands
 from repro.hierarchy.hierarchy import Hierarchy
-from repro.multilevel import solve_multilevel
+from repro.multilevel import coarsen_graph, solve_multilevel
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +29,25 @@ def small_cfg(**ml_kwargs):
     return SolverConfig(seed=0, n_trees=4, multilevel=ml)
 
 
+def coarse_projection(g, hier, d, cfg):
+    """Redo the front-end's coarse solve (same seed and knobs) and project
+    its placement back to the fine graph, unrefined."""
+    ml = cfg.multilevel
+    levels = coarsen_graph(
+        g,
+        d,
+        target_n=ml.coarsen_to,
+        max_weight=hier.leaf_capacity,
+        rng=cfg.seed,
+        max_levels=ml.max_levels,
+        stall_ratio=ml.stall_ratio,
+        rounds=ml.match_rounds,
+    )
+    inner = replace(cfg, multilevel=replace(ml, enabled=False))
+    coarse = run_pipeline(levels.coarsest, hier, levels.demands[-1], inner)
+    return coarse, levels.project(coarse.placement.leaf_of)
+
+
 class TestSolveMultilevel:
     def test_end_to_end_valid_placement(self, instance):
         g, hier, d = instance
@@ -34,12 +55,13 @@ class TestSolveMultilevel:
         p = res.placement
         assert p.leaf_of.shape == (g.n,)
         assert p.meta["solver"] == "hgp_multilevel"
-        assert res.levels.stats.n_coarsest <= 100
-        assert res.levels.stats.levels >= 3
+        assert p.meta["coarsen"]["n_coarsest"] <= 100
+        assert p.meta["coarsen"]["levels"] >= 3
         assert res.cost == p.cost()
         # Refinement never worsens the projected placement, so the final
         # cost is at most the unrefined projection's.
-        proj = res.levels.project(res.coarse.placement.leaf_of)
+        coarse, proj = coarse_projection(g, hier, d, small_cfg(coarsen_to=100))
+        assert coarse.cost == p.meta["coarse_cost"]
         from repro.baselines.fm import eq1_cost
 
         assert res.cost <= eq1_cost(g, hier, proj) + 1e-9
@@ -56,7 +78,8 @@ class TestSolveMultilevel:
         # One level_<i> span per contraction level.
         uncoarsen = report.spans.children[2]
         level_names = {c.name for c in uncoarsen.children}
-        assert level_names == {f"level_{i}" for i in range(len(res.levels.maps))}
+        n_maps = res.placement.meta["coarsen"]["levels"] - 1
+        assert level_names == {f"level_{i}" for i in range(n_maps)}
         # Meta carries the multilevel summary; the report round-trips.
         assert report.meta["multilevel"]["coarsen"]["levels"] >= 3
         again = RunReport.from_json(report.to_json())
@@ -74,16 +97,16 @@ class TestSolveMultilevel:
         g = grid_2d(5, 5, seed=3)
         d = random_demands(g.n, hier.total_capacity, fill=0.5, seed=4)
         res = solve_multilevel(g, hier, d, small_cfg(coarsen_to=100))
-        assert res.levels.stats.levels == 1
-        assert res.levels.maps == []
-        assert res.refine_stats == []
+        assert res.placement.meta["coarsen"]["levels"] == 1
+        assert res.placement.meta["refine_moves"] == 0
+        uncoarsen = res.report().spans.lookup("uncoarsen")
+        assert uncoarsen.children == []
 
     def test_refine_passes_zero_is_pure_projection(self, instance):
         g, hier, d = instance
-        res = solve_multilevel(
-            g, hier, d, small_cfg(coarsen_to=100, refine_passes=0)
-        )
-        proj = res.levels.project(res.coarse.placement.leaf_of)
+        cfg = small_cfg(coarsen_to=100, refine_passes=0)
+        res = solve_multilevel(g, hier, d, cfg)
+        _coarse, proj = coarse_projection(g, hier, d, cfg)
         assert np.array_equal(res.placement.leaf_of, proj)
 
     def test_solve_hgp_dispatch(self, instance):

@@ -1,6 +1,6 @@
 """Reference implementations of hot kernels, kept as oracles.
 
-These are the straightforward versions of five exact-arithmetic hot
+These are the straightforward versions of six exact-arithmetic hot
 spots, kept verbatim so the tests can assert that the optimized library
 versions return *bit-identical* results (same operations, same order):
 
@@ -13,7 +13,9 @@ versions return *bit-identical* results (same operations, same order):
 * :func:`fm_refine_hierarchy` — hierarchy FM whose connection tables
   come from one ``np.unique(..., return_inverse=True)`` per level and
   pass (:func:`connection_tables`), plus a final Eq. (1) evaluation;
-  apart from that helper, the pass is verbatim.
+  apart from that helper, the pass is verbatim;
+* :func:`lca_level` — the bottom-up ``np.where`` scan for the deepest
+  level at which two leaves' ancestors coincide.
 
 Also the random-graph helpers the oracle tests share.
 """
@@ -143,6 +145,23 @@ def dijkstra(g: Graph, source: int, lengths: Optional[np.ndarray] = None) -> np.
 def all_pairs_dijkstra(g: Graph, lengths: Optional[np.ndarray] = None) -> np.ndarray:
     """Dense all-pairs distances, one heap Dijkstra per source."""
     return np.vstack([dijkstra(g, s, lengths) for s in range(g.n)])
+
+
+# ----------------------------------------------------------------------
+# hierarchy LCA
+# ----------------------------------------------------------------------
+
+
+def lca_level(hierarchy: Hierarchy, a, b):
+    """LCA level of two leaves by a bottom-up scan (scalars give ``int``)."""
+    a_arr = np.asarray(a, dtype=np.int64)
+    b_arr = np.asarray(b, dtype=np.int64)
+    out = np.zeros(np.broadcast(a_arr, b_arr).shape, dtype=np.int64)
+    for level in range(hierarchy.h, 0, -1):
+        width = hierarchy._suffix_prod[level]
+        same = (a_arr // width) == (b_arr // width)
+        out = np.where(same & (out == 0), level, out)
+    return out if out.ndim else int(out)
 
 
 # ----------------------------------------------------------------------
